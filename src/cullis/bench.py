@@ -45,7 +45,7 @@ def method_cost(method: str, n: int, k: int) -> int:
     if method in ("injections", "laplace"):
         return enumeration_cost(n, k)
     hi, lo = (n, k) if n >= k else (k, n)
-    return hi * hi * lo + lo**3
+    return hi * lo * lo + lo**3
 
 
 def random_matrix(rng: Random, n: int, k: int, domain: Domain) -> Matrix:

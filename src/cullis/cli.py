@@ -35,6 +35,8 @@ def _fail(message: str) -> int:
 
 
 def _cmd_compute(args) -> int:
+    if args.verify_cap < 0:
+        return _fail(f"--verify-cap must be >= 0, got {args.verify_cap}")
     try:
         x = load_matrix_file(args.input, args.scalar)
     except MatrixInputError as exc:
@@ -80,6 +82,8 @@ def _parse_sizes(text: str):
 
 
 def _cmd_bench(args) -> int:
+    if args.repeat < 1:
+        return _fail(f"--repeat must be >= 1, got {args.repeat}")
     try:
         sizes = _parse_sizes(args.sizes)
     except ValueError as exc:

@@ -12,18 +12,21 @@ the transpose. Four engines compute it:
 
 The first three have exponential-flavored cost and serve as oracles; the
 Pfaffian route sandwiches the (possibly padded) matrix against the skew
-kernel and evaluates one Pfaffian, O(n^2 k + k^3) arithmetic in total.
+kernel and evaluates one Pfaffian, O(n k^2 + k^3) arithmetic in total. The
+kernel is applied by prefix sums and never stored densely.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .matrix import (
+# multiply and skew_kernel_matrix are unused; kept because perfbench/spans.py patches them here.
+from .matrix import (  # noqa: F401
     Matrix,
     MatrixError,
     append_ones_column,
     append_ones_column_and_unit_row,
     append_zero_row,
+    kernel_sandwich,
     multiply,
     skew_kernel_matrix,
     transpose,
@@ -35,30 +38,26 @@ METHODS = ("auto", "fast", "minors", "injections", "laplace")
 
 
 def _bareiss_det(rows: list, dom: Domain):
-    """Fraction-free determinant of a mutable row list, consumed in place.
-    First nonzero pivot, row swaps flip the sign, every division exact."""
-    n = len(rows)
-    mul, sub, ediv, is_zero = dom.mul, dom.sub, dom.exact_div, dom.is_zero
+    """Fraction-free determinant of a list of rows. Each step eliminates
+    the first column under the pivot and drops it, so the remaining block
+    shrinks by one; first nonzero pivot, row swaps flip the sign, every
+    division exact."""
+    step, is_zero = dom.elimination_step, dom.is_zero
     negate = False
     prev = dom.one
-    for p in range(n - 1):
-        if is_zero(rows[p][p]):
-            for r in range(p + 1, n):
-                if not is_zero(rows[r][p]):
-                    rows[p], rows[r] = rows[r], rows[p]
+    while len(rows) > 1:
+        if is_zero(rows[0][0]):
+            for r in range(1, len(rows)):
+                if not is_zero(rows[r][0]):
+                    rows[0], rows[r] = rows[r], rows[0]
                     negate = not negate
                     break
             else:
                 return dom.zero
-        piv = rows[p][p]
-        rp = rows[p]
-        for i in range(p + 1, n):
-            ri = rows[i]
-            rip = ri[p]
-            for j in range(p + 1, n):
-                ri[j] = ediv(sub(mul(piv, ri[j]), mul(rip, rp[j])), prev)
+        piv = rows[0][0]
+        rows = step(rows[0], rows[1:], prev)
         prev = piv
-    det = rows[n - 1][n - 1]
+    det = rows[0][0]
     return dom.neg(det) if negate else det
 
 
@@ -230,19 +229,6 @@ def det_by_column_laplace(x: Matrix, col: int = 1):
     return acc
 
 
-def _reskew(y: Matrix) -> Matrix:
-    """Exact skew structure from the upper triangle; used to scrub the
-    roundoff asymmetry of the float product before validation."""
-    dom = y.domain
-    n = y.rows
-    rows = [list(r) for r in y.data]
-    for i in range(n):
-        rows[i][i] = dom.zero
-        for j in range(i + 1, n):
-            rows[j][i] = dom.neg(rows[i][j])
-    return Matrix(dom, rows)
-
-
 def det_by_pfaffian(x: Matrix, engine: str = "auto"):
     """Cubic-time evaluation through one Pfaffian.
 
@@ -251,23 +237,20 @@ def det_by_pfaffian(x: Matrix, engine: str = "auto"):
     row when the row count is odd too; the padding is value-preserving.
     The padded matrix A is sandwiched against the skew kernel K of matching
     size and the result is pf(A^T K A) exactly, with no extra sign under
-    this kernel convention.
+    this kernel convention. The sandwich applies K by prefix sums and
+    computes only the upper triangle, O(n k^2) for an n x k input, and the
+    Pfaffian adds O(k^3).
     """
     if x.rows < x.cols:
         x = transpose(x)
     n, k = x.rows, x.cols
-    dom = x.domain
     if k % 2 == 0:
-        a, size = x, n
+        a = x
     elif n % 2 == 0:
-        a, size = append_ones_column(x), n
+        a = append_ones_column(x)
     else:
-        a, size = append_ones_column_and_unit_row(x), n + 1
-    kern = skew_kernel_matrix(size, dom)
-    y = multiply(multiply(transpose(a), kern), a)
-    if dom.approximate:
-        y = _reskew(y)
-    return pfaffian(SkewMatrix(y), engine=engine)
+        a = append_ones_column_and_unit_row(x)
+    return pfaffian(SkewMatrix(kernel_sandwich(a)), engine=engine)
 
 
 def det(x: Matrix, method: str = "auto", engine: str = "auto"):

@@ -173,6 +173,51 @@ def skew_kernel_matrix(n: int, domain: Domain) -> Matrix:
     return Matrix(domain, rows)
 
 
+def _kernel_times_column(col: tuple, domain: Domain) -> list:
+    """K times one column, in O(n) additions and no multiplications.
+
+    With b_j = (-1)^j a_j, S their total and P_i the prefix sum before i,
+    row i of c = K a is (-1)^(i+1) (S - 2 P_i - b_i). Consecutive rows then
+    satisfy c_{i+1} = a_{i+1} - a_i - c_i, two subtractions each, starting
+    from c_1 = a_2 - a_3 + a_4 - ... (indices 1-based).
+    """
+    add, sub = domain.add, domain.sub
+    if len(col) == 1:
+        return [domain.zero]
+    c = col[1]
+    for j in range(2, len(col)):
+        c = add(c, col[j]) if j % 2 else sub(c, col[j])
+    out = [c]
+    for lo, hi in zip(col, col[1:]):
+        c = sub(sub(hi, lo), c)
+        out.append(c)
+    return out
+
+
+def kernel_sandwich(a: Matrix) -> Matrix:
+    """A^T K A for the skew kernel K of size a.rows, without forming K.
+
+    Equal entry for entry to multiply(multiply(transpose(a), K), a) on exact
+    domains. Only the strict upper triangle is computed, one dot product of
+    a column against K times a later column per entry; the lower triangle
+    is its exact negation and the diagonal is zero, so the result is skew
+    by construction in every domain. Cost for an n x k input: n k(k-1)/2
+    multiplications and O(n k^2) additions.
+    """
+    dom = a.domain
+    dot, neg, z = dom.dot, dom.neg, dom.zero
+    cols = tuple(zip(*a.data))
+    k = len(cols)
+    rows = [[z] * k for _ in range(k)]
+    for q in range(1, k):
+        kq = _kernel_times_column(cols[q], dom)
+        for p in range(q):
+            v = dot(cols[p], kq)
+            rows[p][q] = v
+            rows[q][p] = neg(v)
+    return Matrix(dom, rows)
+
+
 def is_skew_symmetric(a: Matrix) -> bool:
     """Square, zero diagonal, and entry (j,i) equal to minus entry (i,j).
 

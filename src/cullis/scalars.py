@@ -9,6 +9,7 @@ here ever truncates to a machine word.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from enum import IntEnum
 from fractions import Fraction
@@ -73,6 +74,10 @@ class Domain:
     def mul(self, a, b):
         return a * b
 
+    def dot(self, u, v):
+        """Sum of the products of two equal-length, non-empty vectors."""
+        return sum(map(operator.mul, u, v))
+
     def eq(self, a, b) -> bool:
         return a == b
 
@@ -81,6 +86,16 @@ class Domain:
 
     def exact_div(self, a, b):
         raise CapabilityError(f"{self.name} scalars do not support division")
+
+    def elimination_step(self, pivot_row, rows, d):
+        """One fraction-free elimination step below a pivot.
+
+        With p = pivot_row[0], each row r becomes
+        [(p*x - r[0]*y) / d for x, y in zip(r[1:], pivot_row[1:])], one column
+        shorter, every quotient exact. Exact domains only; the float
+        oracle eliminates with partial pivoting instead.
+        """
+        raise CapabilityError(f"{self.name} scalars have no fraction-free elimination")
 
     def invert(self, a):
         raise CapabilityError(f"{self.name} scalars have no multiplicative inverses")
@@ -125,6 +140,22 @@ class IntegerDomain(Domain):
             raise ExactDivisionError(f"{a} is not divisible by {b}")
         return q
 
+    def elimination_step(self, pivot_row, rows, d):
+        if d == 0:
+            raise ExactDivisionError("division by zero")
+        p, tail = pivot_row[0], pivot_row[1:]
+        out = []
+        for r in rows:
+            b = r[0]
+            row = []
+            for x, y in zip(r[1:], tail):
+                q, rem = divmod(p * x - b * y, d)
+                if rem:
+                    raise ExactDivisionError(f"{p * x - b * y} is not divisible by {d}")
+                row.append(q)
+            out.append(row)
+        return out
+
     def parse(self, text: str):
         if not _INT_RE.fullmatch(text):
             raise ScalarParseError(f"not an integer literal: {text!r}")
@@ -154,6 +185,16 @@ class RationalDomain(Domain):
         if b == 0:
             raise ExactDivisionError("division by zero")
         return a / b
+
+    def elimination_step(self, pivot_row, rows, d):
+        if d == 0:
+            raise ExactDivisionError("division by zero")
+        p, tail = pivot_row[0], pivot_row[1:]
+        out = []
+        for r in rows:
+            b = r[0]
+            out.append([(p * x - b * y) / d for x, y in zip(r[1:], tail)])
+        return out
 
     def invert(self, a):
         if a == 0:
@@ -192,9 +233,14 @@ class FloatDomain(Domain):
 
     def coerce(self, value):
         if isinstance(value, float):
-            return value
+            if math.isfinite(value):
+                return value
+            raise ScalarError(f"float domain holds finite values only, got {value!r}")
         if isinstance(value, int) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ScalarError(f"{value.bit_length()}-bit integer is too large for a float") from None
         raise ScalarError(f"float domain cannot hold {value!r}")
 
     def eq(self, a, b) -> bool:
@@ -213,7 +259,10 @@ class FloatDomain(Domain):
     def parse(self, text: str):
         if not _FLOAT_RE.fullmatch(text):
             raise ScalarParseError(f"not a float literal: {text!r}")
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ScalarParseError(f"float literal out of range: {text!r}")
+        return value
 
     def format(self, value) -> str:
         return f"{value:.12g}"
@@ -225,9 +274,11 @@ class FloatDomain(Domain):
 class _CountingMixin:
     """Tallies arithmetic on the instance; see Domain.counting.
 
-    The add/sub/neg/mul operators act identically on int, Fraction, and
+    The add/sub/neg/mul/dot operators act identically on int, Fraction, and
     float values, so the mixin performs them inline rather than delegating;
     only division semantics differ and those live in the concrete classes.
+    elimination_step tallies three multiplications (the division among
+    them) and one subtraction per entry it produces, then delegates.
     """
 
     def __init__(self):
@@ -249,6 +300,17 @@ class _CountingMixin:
     def mul(self, a, b):
         self.mults += 1
         return a * b
+
+    def dot(self, u, v):
+        self.mults += len(u)
+        self.adds += len(u) - 1
+        return sum(map(operator.mul, u, v))
+
+    def elimination_step(self, pivot_row, rows, d):
+        entries = len(rows) * (len(pivot_row) - 1)
+        self.mults += 3 * entries
+        self.adds += entries
+        return super().elimination_step(pivot_row, rows, d)
 
     def counting(self):
         return type(self)()

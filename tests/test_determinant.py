@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cullis.bench import random_matrix
 from cullis.determinant import (
     METHODS,
     det,
@@ -17,7 +18,18 @@ from cullis.determinant import (
     square_det,
     zero_row_identity_holds,
 )
-from cullis.matrix import Matrix, MatrixError, transpose
+from cullis.matrix import (
+    Matrix,
+    MatrixError,
+    append_ones_column,
+    append_ones_column_and_unit_row,
+    is_skew_symmetric,
+    kernel_sandwich,
+    multiply,
+    skew_kernel_matrix,
+    transpose,
+)
+from cullis.pfaffian import SkewMatrix, pfaffian
 from cullis.scalars import FLOAT, INTEGER, RATIONAL, CapabilityError
 
 ALL_ENGINES = (det_by_minors, det_by_injections, det_by_column_laplace,
@@ -113,6 +125,23 @@ class TestSquareReduction:
         assert square_det(x) == 0
         f = Matrix(FLOAT, [[1.0, 2.0], [2.0, 4.0]])
         assert FLOAT.eq(square_det(f), 0.0)
+
+    def test_square_det_zero_pivots(self):
+        # entries in -1..1 force zero pivots and row swaps in the elimination
+        rng = Random(5)
+        for n in (2, 3, 4, 5):
+            for _ in range(20):
+                x = imat([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+                assert square_det(x) == det_by_injections(x)
+                q = Matrix(RATIONAL, [[Fraction(v) for v in r] for r in x.data])
+                assert square_det(q) == det_by_injections(x)
+
+    def test_square_det_counts_three_mults_per_eliminated_entry(self):
+        # pivots 2 and 5 are nonzero: 2x2 + 1x1 entries are eliminated
+        dom = INTEGER.counting()
+        x = Matrix(dom, [[2, 1, 1], [1, 3, 2], [1, 0, 0]])
+        assert square_det(x) == -1
+        assert dom.mults == 3 * 5 and dom.adds == 5
 
 
 class TestEngineAgreement:
@@ -320,6 +349,76 @@ class TestExtensionIdentities:
     def test_zero_row_requires_tall(self):
         with pytest.raises(MatrixError):
             zero_row_identity_holds(imat([[1, 2]]))
+
+
+def padded(x):
+    """The matrix det_by_pfaffian sandwiches: transposed when wide, then
+    padded to even width."""
+    if x.rows < x.cols:
+        x = transpose(x)
+    if x.cols % 2 == 0:
+        return x
+    if x.rows % 2 == 0:
+        return append_ones_column(x)
+    return append_ones_column_and_unit_row(x)
+
+
+def dense_sandwich(a):
+    """The specification: the dense kernel, multiplied out."""
+    kern = skew_kernel_matrix(a.rows, a.domain)
+    return multiply(multiply(transpose(a), kern), a)
+
+
+# even k; odd k, even n; odd k, odd n; wide; and the smallest shapes
+SANDWICH_SHAPES = ((9, 4), (8, 5), (7, 3), (3, 6), (4, 7), (1, 1), (2, 1), (12, 12))
+
+
+class TestStructuredSandwich:
+    @pytest.mark.parametrize("domain", [INTEGER, RATIONAL])
+    @pytest.mark.parametrize("n,k", SANDWICH_SHAPES)
+    def test_exact_domains_match_dense_spec_bit_for_bit(self, domain, n, k):
+        rng = Random(n * 100 + k)
+        for _ in range(3):
+            a = padded(random_matrix(rng, n, k, domain))
+            y = kernel_sandwich(a)
+            assert y.domain is domain
+            assert y.data == dense_sandwich(a).data
+            assert all(type(v) is type(domain.zero) for row in y.data for v in row)
+
+    @pytest.mark.parametrize("n,k", SANDWICH_SHAPES)
+    def test_float_matches_dense_spec(self, n, k):
+        rng = Random(n * 100 + k)
+        for _ in range(3):
+            a = padded(random_matrix(rng, n, k, FLOAT))
+            assert kernel_sandwich(a).equals(dense_sandwich(a))
+
+    @pytest.mark.parametrize("n,k", SANDWICH_SHAPES)
+    def test_float_result_is_exactly_skew(self, n, k):
+        y = kernel_sandwich(padded(random_matrix(Random(k), n, k, FLOAT)))
+        d, size = y.data, y.rows
+        assert all(d[i][i] == 0.0 for i in range(size))
+        assert all(d[j][i] == -d[i][j] for i in range(size) for j in range(i + 1, size))
+        assert is_skew_symmetric(y)
+
+    def test_single_row_gives_zero_product(self):
+        a = imat([[1, 2, 3]])
+        assert kernel_sandwich(a).data == dense_sandwich(a).data == ((0,) * 3,) * 3
+
+    @pytest.mark.parametrize("domain", [INTEGER, RATIONAL, FLOAT])
+    @pytest.mark.parametrize("n,k", SANDWICH_SHAPES + ((64, 32),))
+    def test_mult_count_is_n_k_choose_2(self, domain, n, k):
+        a = padded(random_matrix(Random(1), n, k, domain))
+        counter = domain.counting()
+        kernel_sandwich(Matrix(counter, a.data))
+        assert counter.mults == a.rows * a.cols * (a.cols - 1) // 2
+
+    @pytest.mark.parametrize("domain", [INTEGER, RATIONAL])
+    @pytest.mark.parametrize("n,k", SANDWICH_SHAPES)
+    def test_det_equals_pfaffian_of_dense_spec(self, domain, n, k):
+        x = random_matrix(Random(k * 100 + n), n, k, domain)
+        spec = pfaffian(SkewMatrix(dense_sandwich(padded(x))))
+        value = det_by_pfaffian(x)
+        assert value == spec and type(value) is type(spec)
 
 
 @st.composite

@@ -78,6 +78,12 @@ class TestJsonParsing:
                            "data": [[0.5, 2]]})
         assert parse_matrix_text(fdoc).to_rows() == [[0.5, 2.0]]
 
+    @pytest.mark.parametrize("cell", ["NaN", "Infinity", "1e400", '"1e400"', "1" + "0" * 400])
+    def test_non_finite_float_entry_rejected(self, cell):
+        doc = '{"rows": 1, "cols": 1, "domain": "float", "data": [[%s]]}' % cell
+        with pytest.raises(MatrixInputError, match=r"entry \(1,1\)"):
+            parse_matrix_text(doc)
+
     def test_float_typed_entry_rejected_in_exact_domain(self):
         doc = json.dumps({"rows": 1, "cols": 1, "data": [[1.5]]})
         with pytest.raises(MatrixInputError, match=r"entry \(1,1\)"):
@@ -206,6 +212,32 @@ class TestComputeCommand:
         assert code == 3
         assert "VERIFY: MISMATCH" in out
 
+    def test_float_overflow_literal_exits_two(self, tmp_path):
+        p = tmp_path / "inf.csv"
+        p.write_text("1e400\n2\n")
+        code, out, err = run_cli(["compute", "--input", str(p),
+                                  "--scalar", "float"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: entry (1,1)") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_number_exits_two(self, tmp_path, literal):
+        p = tmp_path / "m.json"
+        p.write_text('{"rows": 2, "cols": 1, "domain": "float", '
+                     f'"data": [[{literal}], [2]]}}')
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: entry (1,1)") and err.count("\n") == 1
+
+    def test_negative_verify_cap_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        p.write_text(E32_CSV)
+        code = cli.main(["compute", "--input", str(p), "--verify",
+                         "--verify-cap", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --verify-cap must be >= 0, got -1\n"
+
     def test_verify_float_uses_tolerant_equality(self, tmp_path, capsys):
         p = tmp_path / "m.csv"
         p.write_text("0.5,1.25\n-2.5,0.75\n1.5,-0.25\n")
@@ -272,6 +304,12 @@ class TestBenchCommand:
         code = cli.main(["bench", "--sizes", "8x"])
         err = capsys.readouterr().err
         assert code == 2 and "bad size" in err
+
+    def test_zero_repeat_rejected(self, capsys):
+        code = cli.main(["bench", "--sizes", "4x2", "--repeat", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --repeat must be >= 1, got 0\n"
 
     def test_zero_dimension_rejected(self, capsys):
         code = cli.main(["bench", "--sizes", "0x3"])

@@ -12,6 +12,7 @@ from cullis.scalars import (
     INTEGER,
     RATIONAL,
     CapabilityError,
+    Domain,
     ExactDivisionError,
     ScalarError,
     ScalarParseError,
@@ -73,6 +74,17 @@ class TestIntegerArithmetic:
         with pytest.raises(CapabilityError):
             INTEGER.invert(2)
 
+    def test_elimination_step(self):
+        # pivot 2, divisor 2: rows become (2*x - r0*y) / 2 one column shorter
+        out = INTEGER.elimination_step([2, 4, 6], [[1, 3, 5], [3, 8, 9]], 2)
+        assert out == [[1, 2], [2, 0]]
+
+    def test_elimination_step_checks_exactness(self):
+        with pytest.raises(ExactDivisionError, match="not divisible"):
+            INTEGER.elimination_step([2, 4], [[1, 3]], 4)
+        with pytest.raises(ExactDivisionError, match="division by zero"):
+            INTEGER.elimination_step([2, 4], [[1, 3]], 0)
+
     @pytest.mark.parametrize("bad", [True, 1.5, "3", None])
     def test_coerce_rejects_foreign_values(self, bad):
         with pytest.raises(ScalarError):
@@ -130,6 +142,16 @@ class TestFloatDomain:
     def test_rejects(self, text):
         with pytest.raises(ScalarParseError):
             FLOAT.parse(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "9" * 400])
+    def test_rejects_overflowing_literal(self, text):
+        with pytest.raises(ScalarParseError, match="out of range"):
+            FLOAT.parse(text)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    def test_coerce_rejects_non_finite(self, value):
+        with pytest.raises(ScalarError):
+            FLOAT.coerce(value)
 
     def test_format_twelve_significant_digits(self):
         assert FLOAT.format(1 / 3) == "0.333333333333"
@@ -202,6 +224,32 @@ class TestCounting:
         c.sub(1.0, 2.0)
         c.neg(1.0)
         assert c.adds == 3 and c.mults == 0
+
+    @pytest.mark.parametrize("dom", [INTEGER, RATIONAL, FLOAT])
+    def test_dot_counts_like_the_scalar_loop(self, dom):
+        u = [dom.coerce(v) for v in (1, -2, 3)]
+        v = [dom.coerce(w) for w in (4, 5, 6)]
+        c = dom.counting()
+        assert c.dot(u, v) == dom.dot(u, v) == 12
+        assert c.mults == 3 and c.adds == 2
+        assert type(c.dot(u, v)) is type(dom.zero)
+
+    @pytest.mark.parametrize("dom", [INTEGER, RATIONAL])
+    def test_elimination_step_counts_like_the_scalar_loop(self, dom):
+        pivot_row = [dom.coerce(v) for v in (2, 4, 6)]
+        rows = [[dom.coerce(v) for v in r] for r in ((1, 3, 5), (3, 8, 9))]
+        two = dom.coerce(2)
+        expected = [[dom.exact_div(dom.sub(dom.mul(pivot_row[0], x), dom.mul(r[0], y)), two)
+                     for x, y in zip(r[1:], pivot_row[1:])] for r in rows]
+        c = dom.counting()
+        assert c.elimination_step(pivot_row, rows, two) == expected
+        assert dom.elimination_step(pivot_row, rows, two) == expected
+        assert c.mults == 3 * 4 and c.adds == 4
+
+    @pytest.mark.parametrize("dom", [Domain(), FLOAT])
+    def test_elimination_step_exact_domains_only(self, dom):
+        with pytest.raises(CapabilityError):
+            dom.elimination_step([1, 1], [[1, 1]], 1)
 
     def test_equality_and_parse_never_counted(self):
         c = INTEGER.counting()

@@ -5,7 +5,8 @@
     cullis bench --sizes 8x4,16x8,32x16 --repeat 3 --out results.csv
 
 Exit status: 0 on success, 2 on bad input or arguments, 3 when --verify
-finds the independent oracle disagreeing with the requested engine.
+finds the independent oracle disagreeing with the requested engine, 4 when
+compute fails in any other way (one line, `internal error: <Type>: <msg>`).
 A failing selftest exits 1.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 _SIZE_RE = re.compile(r"([0-9]+)x([0-9]+)")
 
@@ -35,6 +37,14 @@ def _fail(message: str) -> int:
 
 
 def _cmd_compute(args) -> int:
+    try:
+        return _compute(args)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _compute(args) -> int:
     if args.verify_cap < 0:
         return _fail(f"--verify-cap must be >= 0, got {args.verify_cap}")
     try:

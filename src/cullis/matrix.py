@@ -4,6 +4,8 @@ are 1-based, matching the usual written convention for minors and signs.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import Domain
@@ -203,10 +205,21 @@ def kernel_sandwich(a: Matrix) -> Matrix:
     is its exact negation and the diagonal is zero, so the result is skew
     by construction in every domain. Cost for an n x k input: n k(k-1)/2
     multiplications and O(n k^2) additions.
+
+    Rational input runs on integer numerators: column j is scaled by the
+    lcm L_j of its denominators, the same loop forms the integer product
+    Y', and each entry becomes Y'_pq / (L_p L_q), one division per entry.
+    That is exact, since A = A' D^-1 with D = diag(L). The counted cost is
+    the same as for Fraction arithmetic throughout.
     """
     dom = a.domain
     dot, neg, z = dom.dot, dom.neg, dom.zero
     cols = tuple(zip(*a.data))
+    scales = None
+    if dom.tag == "rational":
+        scales = [math.lcm(*(v.denominator for v in col)) for col in cols]
+        cols = [[v.numerator * (s // v.denominator) for v in col]
+                for col, s in zip(cols, scales)]
     k = len(cols)
     rows = [[z] * k for _ in range(k)]
     for q in range(1, k):
@@ -215,6 +228,11 @@ def kernel_sandwich(a: Matrix) -> Matrix:
             v = dot(cols[p], kq)
             rows[p][q] = v
             rows[q][p] = neg(v)
+    if scales is not None:
+        for q in range(1, k):
+            for p in range(q):
+                v = Fraction(rows[p][q], scales[p] * scales[q])
+                rows[p][q], rows[q][p] = v, -v
     return Matrix(dom, rows)
 
 

@@ -44,6 +44,22 @@ _INT_RE = re.compile(r"-?[0-9]+$")
 _FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)$")
 _FLOAT_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
 
+# CPython refuses int(text) past 4300 digits by default (the process-wide
+# int_max_str_digits limit); longer literals are converted in chunks this
+# long, which leaves the limit itself alone.
+_DIGIT_CHUNK = 4000
+
+
+def _long_int(text: str) -> int:
+    """int(text) for a decimal integer literal of any length, in chunks."""
+    digits = text.lstrip("-")
+    head = len(digits) % _DIGIT_CHUNK or _DIGIT_CHUNK
+    value = int(digits[:head])
+    scale = 10**_DIGIT_CHUNK
+    for i in range(head, len(digits), _DIGIT_CHUNK):
+        value = value * scale + int(digits[i:i + _DIGIT_CHUNK])
+    return -value if text[0] == "-" else value
+
 
 class Domain:
     """Arithmetic, parsing, and equality for one scalar value type.
@@ -159,7 +175,10 @@ class IntegerDomain(Domain):
     def parse(self, text: str):
         if not _INT_RE.fullmatch(text):
             raise ScalarParseError(f"not an integer literal: {text!r}")
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # past the int/str digit limit
+            return _long_int(text)
 
     def counting(self):
         return CountingIntegerDomain()
@@ -203,10 +222,13 @@ class RationalDomain(Domain):
 
     def parse(self, text: str):
         m = _FRACTION_RE.fullmatch(text)
-        if m:
-            return Fraction(int(m.group(1)), int(m.group(2)))
-        if _INT_RE.fullmatch(text):
-            return Fraction(int(text))
+        try:
+            if m:
+                return Fraction(int(m.group(1)), int(m.group(2)))
+            if _INT_RE.fullmatch(text):
+                return Fraction(int(text))
+        except ValueError:  # past the int/str digit limit
+            return Fraction(*map(_long_int, text.split("/")))
         if re.fullmatch(r"-?[0-9]+/0+", text):
             raise ScalarParseError(f"zero denominator: {text!r}")
         raise ScalarParseError(f"not a rational literal: {text!r}")

@@ -2,8 +2,8 @@
 
 Each test prints `CRITERION <n> <name>: PASS` or `: FAIL` straight to the
 terminal (bypassing capture) and then asserts. Criterion 6 re-counts the
-minor-sum oracle at shape (24,12) block by block and takes roughly
-fourteen minutes on one core; everything else finishes in seconds.
+minor-sum oracle at shape (24,12) block by block and takes about 8
+minutes on one core; everything else finishes in seconds.
 
 Tolerances: exact domains must match bit for bit (zero tolerance); the
 float domain uses the library-wide relative tolerance 1e-9 with absolute
@@ -304,7 +304,7 @@ def test_criterion_6_complexity_evidence(capsys):
     with capsys.disabled():
         print(f"criterion 6: fast ratios {ratio_small:.2f}, {ratio_large:.2f}; "
               "counting the minor-sum oracle at (24,12), about 2.7 million "
-              "blocks, expected ~14 minutes on one core", flush=True)
+              "blocks, expected about 8 minutes on one core", flush=True)
     start = time.perf_counter()
     minors_value, minors_mults, _ = count_operations(x, "minors")
     elapsed = time.perf_counter() - start

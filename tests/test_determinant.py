@@ -372,18 +372,50 @@ def dense_sandwich(a):
 # even k; odd k, even n; odd k, odd n; wide; and the smallest shapes
 SANDWICH_SHAPES = ((9, 4), (8, 5), (7, 3), (3, 6), (4, 7), (1, 1), (2, 1), (12, 12))
 
+# primes above every numerator drawn below, so each denominator stays prime
+_PRIMES = [p for p in range(101, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def _prime_denominators(rng, n, k):
+    """Rationals whose denominators are n*k distinct primes."""
+    primes = iter(rng.sample(_PRIMES, n * k))
+    return Matrix(RATIONAL, [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), next(primes))
+                              for _ in range(k)] for _ in range(n)])
+
+
+def _zero_column(rng, n, k):
+    x = random_matrix(rng, n, k, RATIONAL)
+    c = rng.randrange(k)
+    return Matrix(RATIONAL, [[0 if j == c else v for j, v in enumerate(row)] for row in x.data])
+
+
+# exact inputs for the sandwich, (rng, n, k) -> Matrix. The plain int and
+# rational fills carry the ids domain0 and domain1, which these tests have
+# always used for them.
+EXACT_FILLS = [
+    pytest.param(lambda rng, n, k: random_matrix(rng, n, k, INTEGER), id="domain0"),
+    pytest.param(lambda rng, n, k: random_matrix(rng, n, k, RATIONAL), id="domain1"),
+    pytest.param(_prime_denominators, id="prime-denominators"),
+    pytest.param(lambda rng, n, k: Matrix(RATIONAL, random_matrix(rng, n, k, INTEGER).data),
+                 id="integer-valued"),
+    pytest.param(_zero_column, id="zero-column"),
+    pytest.param(lambda rng, n, k: Matrix(RATIONAL, [
+        [Fraction(-rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k)] for _ in range(n)]),
+        id="negative"),
+]
+
 
 class TestStructuredSandwich:
-    @pytest.mark.parametrize("domain", [INTEGER, RATIONAL])
+    @pytest.mark.parametrize("fill", EXACT_FILLS)
     @pytest.mark.parametrize("n,k", SANDWICH_SHAPES)
-    def test_exact_domains_match_dense_spec_bit_for_bit(self, domain, n, k):
+    def test_exact_domains_match_dense_spec_bit_for_bit(self, fill, n, k):
         rng = Random(n * 100 + k)
         for _ in range(3):
-            a = padded(random_matrix(rng, n, k, domain))
+            a = padded(fill(rng, n, k))
             y = kernel_sandwich(a)
-            assert y.domain is domain
+            assert y.domain is a.domain
             assert y.data == dense_sandwich(a).data
-            assert all(type(v) is type(domain.zero) for row in y.data for v in row)
+            assert all(type(v) is type(a.domain.zero) for row in y.data for v in row)
 
     @pytest.mark.parametrize("n,k", SANDWICH_SHAPES)
     def test_float_matches_dense_spec(self, n, k):
@@ -410,15 +442,21 @@ class TestStructuredSandwich:
         a = padded(random_matrix(Random(1), n, k, domain))
         counter = domain.counting()
         kernel_sandwich(Matrix(counter, a.data))
-        assert counter.mults == a.rows * a.cols * (a.cols - 1) // 2
+        rows, cols = a.rows, a.cols
+        entries = cols * (cols - 1) // 2
+        assert counter.mults == rows * entries
+        # adds as well: K times each later column takes 3 rows - 4, and
+        # each entry rows - 1 in the dot plus one negation
+        assert counter.adds == (cols - 1) * (3 * rows - 4) + rows * entries
 
-    @pytest.mark.parametrize("domain", [INTEGER, RATIONAL])
+    @pytest.mark.parametrize("fill", EXACT_FILLS)
     @pytest.mark.parametrize("n,k", SANDWICH_SHAPES)
-    def test_det_equals_pfaffian_of_dense_spec(self, domain, n, k):
-        x = random_matrix(Random(k * 100 + n), n, k, domain)
+    def test_det_equals_pfaffian_of_dense_spec(self, fill, n, k):
+        x = fill(Random(k * 100 + n), n, k)
         spec = pfaffian(SkewMatrix(dense_sandwich(padded(x))))
         value = det_by_pfaffian(x)
         assert value == spec and type(value) is type(spec)
+        assert value == det_by_minors(x)
 
 
 @st.composite

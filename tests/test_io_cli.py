@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -56,6 +57,11 @@ class TestCsvParsing:
     def test_rational_literal_in_int_domain_rejected(self):
         with pytest.raises(MatrixInputError, match=r"entry \(1,2\)"):
             parse_matrix_text("1,1/2\n")
+
+    def test_integer_literal_past_the_int_str_digit_limit(self):
+        x = parse_matrix_text("1" * 4301 + "," + "1" * 4301 + "\n")
+        ones = (10**4301 - 1) // 9
+        assert x.to_rows() == [[ones, ones]]
 
 
 class TestJsonParsing:
@@ -228,6 +234,33 @@ class TestComputeCommand:
         code, out, err = run_cli(["compute", "--input", str(p)])
         assert code == 2 and out == ""
         assert err.startswith("error: entry (1,1)") and err.count("\n") == 1
+
+    def test_integer_literal_past_the_int_str_digit_limit(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("1" * 4301 + "," + "1" * 4301 + "\n")
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert (code, out, err) == (0, "0\n", "")
+
+    def test_float_overflow_inside_the_route_exits_four(self, tmp_path):
+        # columns near 1e200 and 1e-200: the sandwich overflows to nan
+        rng = Random(7)
+        rows = [[rng.uniform(-1, 1) * s for s in (1e200, 1e200, 1e-200, 1e-200)]
+                for _ in range(6)]
+        p = tmp_path / "scaled.csv"
+        p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows))
+        code, out, err = run_cli(["compute", "--input", str(p),
+                                  "--scalar", "float"])
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: ScalarError: ") and err.count("\n") == 1
+        assert "nan" in err
+
+    def test_result_past_the_int_str_digit_limit_exits_four(self, tmp_path):
+        # the 1x1 value is the entry itself, which `format` cannot print yet
+        p = tmp_path / "big.csv"
+        p.write_text("1" * 4400 + "\n")
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert code == 4 and out == ""
+        assert err.startswith("internal error: ValueError: ") and err.count("\n") == 1
 
     def test_negative_verify_cap_exits_two(self, tmp_path, capsys):
         p = tmp_path / "m.csv"

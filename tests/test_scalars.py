@@ -55,6 +55,15 @@ class TestIntegerLiterals:
         for v in (0, 5, -5, 10**40):
             assert INTEGER.parse(INTEGER.format(v)) == v
 
+    @pytest.mark.parametrize("digits", [4000, 4001, 4301, 8000, 8001, 12345])
+    def test_parse_past_the_int_str_digit_limit(self, digits):
+        # digits nines, built without int/str conversion; the process-wide
+        # limit stays where it was
+        nines = 10**digits - 1
+        assert INTEGER.parse("9" * digits) == nines
+        assert INTEGER.parse("-" + "9" * digits) == -nines
+        assert INTEGER.parse("0" * digits + "12") == 12
+
 
 class TestIntegerArithmetic:
     def test_exact_division(self):
@@ -98,6 +107,12 @@ class TestRationalLiterals:
     ])
     def test_parse(self, text, value):
         assert RATIONAL.parse(text) == value
+
+    def test_parse_past_the_int_str_digit_limit(self):
+        ones, threes = (10**4400 - 1) // 9, (10**4400 - 1) // 3
+        assert RATIONAL.parse("-" + "1" * 4400 + "/" + "3" * 4400) == Fraction(-1, 3)
+        assert RATIONAL.parse("3" * 4400) == threes
+        assert RATIONAL.parse("1/" + "1" * 4400) == Fraction(1, ones)
 
     def test_zero_denominator_message(self):
         with pytest.raises(ScalarParseError, match="zero denominator"):

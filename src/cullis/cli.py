@@ -69,6 +69,8 @@ def _compute(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if args.size_cap < 1:
+        return _fail(f"--size-cap must be >= 1, got {args.size_cap}")
     ok = selftest_mod.run(seed=args.seed, size_cap=args.size_cap)
     return EXIT_OK if ok else EXIT_SELFTEST
 
@@ -91,6 +93,10 @@ def _parse_sizes(text: str):
     return sizes
 
 
+def _ratio(new, old) -> float:
+    return new / old if old else float("inf")
+
+
 def _cmd_bench(args) -> int:
     if args.repeat < 1:
         return _fail(f"--repeat must be >= 1, got {args.repeat}")
@@ -100,11 +106,17 @@ def _cmd_bench(args) -> int:
         return _fail(str(exc))
     domain = DOMAINS[args.scalar]
     rng = Random(2024)
+    previous = {}  # method -> its report on the last shape it ran
 
     def progress(row):
-        print(f"{row.n}x{row.k} {row.method} [{row.domain}]: "
-              f"{row.median_seconds:.6f}s median, {row.mults} mults, {row.adds} adds",
-              file=sys.stderr)
+        line = (f"{row.n}x{row.k} {row.method} [{row.domain}]: "
+                f"{row.median_seconds:.6f}s median, {row.mults} mults, {row.adds} adds")
+        prev = previous.get(row.method)
+        if prev is not None:
+            line += (f"; vs {prev.n}x{prev.k}: mults x{_ratio(row.mults, prev.mults):.2f}, "
+                     f"time x{_ratio(row.median_seconds, prev.median_seconds):.2f}")
+        previous[row.method] = row
+        print(line, file=sys.stderr)
 
     reports = bench_mod.run_sizes(sizes, domain, rng, repeats=args.repeat,
                                   report=progress)

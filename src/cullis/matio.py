@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .matrix import Matrix
-from .scalars import DOMAINS, ScalarError, get_domain
+from .scalars import DOMAINS, ScalarError, _long_int, get_domain
 
 
 class MatrixInputError(ValueError):
@@ -35,9 +35,20 @@ class MatrixDocument:
     data: list
 
 
+def _json_loads(text: str):
+    """json.loads, re-parsing with chunked integers only when a bare integer
+    is past the int/str digit limit."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        return json.loads(text, parse_int=_long_int)
+
+
 def _document_from_json(text: str) -> MatrixDocument:
     try:
-        obj = json.loads(text)
+        obj = _json_loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixInputError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):

@@ -36,10 +36,6 @@ class Matrix:
         self.cols = width
         self.data = data
 
-    @classmethod
-    def from_rows(cls, rows_of_entries, domain: Domain) -> "Matrix":
-        return cls(domain, rows_of_entries)
-
     def entry(self, i: int, j: int):
         """Entry in row i, column j, both 1-based."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):

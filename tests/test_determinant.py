@@ -158,13 +158,13 @@ class TestEngineAgreement:
 
     def test_rational_domain_agreement(self):
         rng = Random(102)
-        for n, k in ((3, 2), (4, 2), (5, 3), (4, 4)):
-            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                     for _ in range(k)] for _ in range(n)]
-            x = Matrix(RATIONAL, rows)
+        # tall, then wide: injections and laplace take the tall transpose
+        for n, k in ((3, 2), (4, 2), (5, 3), (4, 4), (2, 3), (1, 4), (3, 5), (2, 6)):
+            x = random_matrix(rng, n, k, RATIONAL)
+            tall = x if n >= k else transpose(x)
             ref = det_by_minors(x)
-            assert det_by_injections(x) == ref
-            assert det_by_column_laplace(x) == ref
+            assert det_by_injections(tall) == ref
+            assert det_by_column_laplace(tall) == ref
             assert det_by_pfaffian(x) == ref
 
     def test_float_tracks_exact(self):
@@ -174,6 +174,18 @@ class TestEngineAgreement:
             exact = det_by_minors(x)
             f = Matrix(FLOAT, [[float(v) for v in r] for r in x.data])
             assert FLOAT.eq(det_by_pfaffian(f), float(exact))
+        # uniform(-1, 1) fills in both orientations, every route against the
+        # exact value of the same floats
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                f = random_matrix(rng, n, k, FLOAT)
+                exact = float(det_by_minors(Matrix(RATIONAL, [[Fraction(v) for v in r]
+                                                              for r in f.data])))
+                for x in (f, transpose(f)):
+                    assert FLOAT.eq(det_by_minors(x), exact)
+                    assert FLOAT.eq(det_by_pfaffian(x), exact)
+                assert FLOAT.eq(det_by_injections(f), exact)
+                assert FLOAT.eq(det_by_column_laplace(f), exact)
 
     def test_all_parity_branches(self):
         rng = Random(104)

@@ -125,6 +125,8 @@ class TestJsonParsing:
     def test_invalid_json(self):
         with pytest.raises(MatrixInputError, match="invalid JSON"):
             parse_matrix_text("{not json")
+        with pytest.raises(MatrixInputError, match="invalid JSON"):  # after a long integer
+            parse_matrix_text('{"data": [[%s], }' % ("1" * 4400))
 
     def test_non_object_json(self):
         with pytest.raises(MatrixInputError, match="object"):
@@ -241,6 +243,13 @@ class TestComputeCommand:
         code, out, err = run_cli(["compute", "--input", str(p)])
         assert (code, out, err) == (0, "0\n", "")
 
+    def test_json_integer_past_the_int_str_digit_limit(self, tmp_path):
+        p = tmp_path / "big.json"
+        ones = "1" * 4400
+        p.write_text('{"rows": 2, "cols": 1, "data": [[%s], [%s]]}' % (ones, ones))
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_float_overflow_inside_the_route_exits_four(self, tmp_path):
         # columns near 1e200 and 1e-200: the sandwich overflows to nan
         rng = Random(7)
@@ -288,6 +297,12 @@ class TestSelftestCommand:
         lines = [l for l in out.splitlines() if l]
         assert lines and all(l.startswith("PASS ") for l in lines)
 
+    def test_size_cap_below_one_rejected(self, capsys):
+        code = cli.main(["selftest", "--size-cap", "-3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --size-cap must be >= 1, got -3\n"
+
     def test_reports_failures_nonzero(self, capsys, monkeypatch):
         from cullis import selftest as selftest_mod
         broken = [("deliberately broken check", lambda rng, cap: False)]
@@ -313,6 +328,19 @@ class TestBenchCommand:
             assert domain == "int"
             assert int(mults) >= 0 and int(adds) >= 0
             assert float(seconds) >= 0.0
+        # one progress line per row on stderr; a method's second shape adds
+        # its ratios against the first, and stdout carries none of them
+        mults = {(n, method): int(m) for n, k, method, domain, m, *_ in rows}
+        progress = captured.err.splitlines()
+        assert len(progress) == len(rows)
+        for line, (n, k, method, *_) in zip(progress, rows):
+            assert line.startswith(f"{n}x{k} {method} ")
+            if n == "6":
+                assert "vs" not in line
+            else:
+                ratio = mults["8", method] / mults["6", method]
+                assert f"; vs 6x3: mults x{ratio:.2f}, time x" in line
+        assert "vs" not in captured.out
 
     def test_feasibility_skips_minors_on_large_shapes(self, capsys):
         code = cli.main(["bench", "--sizes", "8x4,32x16", "--repeat", "1"])

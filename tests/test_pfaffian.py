@@ -110,6 +110,13 @@ class TestEngineAgreement:
             assert pfaffian_laplace(s) == ref
             assert pfaffian_fraction_free(s) == ref
             assert pfaffian_eliminate(to_rational(s)) == Fraction(ref)
+        for _ in range(10):  # entries with proper denominators
+            q = skew_from_upper([[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(size - 1 - i)] for i in range(size - 1)],
+                                RATIONAL)
+            ref = pfaffian_definition(q)
+            for engine in ("laplace", "fraction-free", "eliminate"):
+                assert ENGINES[engine](q) == ref
 
     @pytest.mark.parametrize("size", [2, 4, 6, 8])
     def test_float_elimination_tracks_exact(self, size):
@@ -119,6 +126,12 @@ class TestEngineAgreement:
             exact = pfaffian_definition(s)
             approx = pfaffian_eliminate(to_float(s))
             assert FLOAT.eq(approx, float(exact))
+        for _ in range(10):  # uniform(-1, 1) entries, every engine
+            f = skew_from_upper([[rng.uniform(-1, 1) for _ in range(size - 1 - i)]
+                                 for i in range(size - 1)], FLOAT)
+            exact = float(pfaffian_definition(to_rational(f)))
+            for engine in ENGINES:
+                assert FLOAT.eq(ENGINES[engine](f), exact)
 
     @pytest.mark.parametrize("size", [4, 6])
     def test_laplace_pivot_column_independence(self, size):

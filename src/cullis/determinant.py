@@ -17,6 +17,8 @@ kernel is applied by prefix sums and never stored densely.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 # multiply and skew_kernel_matrix are unused; kept because perfbench/spans.py patches them here.
@@ -26,6 +28,7 @@ from .matrix import (  # noqa: F401
     append_ones_column,
     append_ones_column_and_unit_row,
     append_zero_row,
+    cleared_kernel_sandwich,
     kernel_sandwich,
     multiply,
     skew_kernel_matrix,
@@ -240,6 +243,13 @@ def det_by_pfaffian(x: Matrix, engine: str = "auto"):
     this kernel convention. The sandwich applies K by prefix sums and
     computes only the upper triangle, O(n k^2) for an n x k input, and the
     Pfaffian adds O(k^3).
+
+    Rational input, under engine "auto" or "fraction-free", runs on
+    integers end to end: the column-cleared product Y' (see
+    cleared_kernel_sandwich) goes through the fraction-free Pfaffian, and
+    the value is pf(Y') / prod(L) as a Fraction, one division in all.
+    Under "eliminate" (and the reference engines) rationals take the
+    Fraction product A^T K A instead.
     """
     if x.rows < x.cols:
         x = transpose(x)
@@ -250,6 +260,9 @@ def det_by_pfaffian(x: Matrix, engine: str = "auto"):
         a = append_ones_column(x)
     else:
         a = append_ones_column_and_unit_row(x)
+    if a.domain.tag == "rational" and engine in ("auto", "fraction-free"):
+        y, scales = cleared_kernel_sandwich(a)
+        return Fraction(pfaffian(SkewMatrix(y), engine="fraction-free"), math.prod(scales))
     return pfaffian(SkewMatrix(kernel_sandwich(a)), engine=engine)
 
 

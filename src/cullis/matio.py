@@ -120,7 +120,7 @@ def parse_matrix_text(text: str, scalar_tag: str | None = None) -> Matrix:
                 raise MatrixInputError(f"entry ({i},{j}): {exc}") from None
             out.append(value)
         parsed.append(out)
-    return Matrix(dom, parsed)
+    return Matrix._trusted(dom, parsed)
 
 
 def load_matrix_file(path: str, scalar_tag: str | None = None) -> Matrix:

@@ -25,7 +25,19 @@ class Matrix:
     __slots__ = ("domain", "rows", "cols", "data")
 
     def __init__(self, domain: Domain, rows_of_entries: Iterable[Iterable]):
-        data = tuple(tuple(domain.coerce(v) for v in row) for row in rows_of_entries)
+        coerce = domain.coerce
+        self._fill(domain, tuple(tuple(map(coerce, row)) for row in rows_of_entries))
+
+    @classmethod
+    def _trusted(cls, domain: Domain, rows_of_entries: Iterable[Iterable]) -> "Matrix":
+        """Package-internal constructor for entries that `domain` already
+        coerced, such as another matrix's entries or its own zero and one.
+        The shape checks still run; the per-entry coercion does not."""
+        m = cls.__new__(cls)
+        m._fill(domain, tuple(map(tuple, rows_of_entries)))
+        return m
+
+    def _fill(self, domain: Domain, data: tuple) -> None:
         if not data or not data[0]:
             raise MatrixError("a matrix needs at least one row and one column")
         width = len(data[0])
@@ -70,7 +82,7 @@ def identity(n: int, domain: Domain) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.domain, zip(*a.data))
+    return Matrix._trusted(a.domain, zip(*a.data))
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
@@ -109,7 +121,7 @@ def submatrix_select(a: Matrix, row_indices: Sequence[int], col_indices: Sequenc
     ci = _check_indices(col_indices, a.cols, "column")
     if not ri or not ci:
         raise MatrixError("selection must keep at least one row and one column")
-    return Matrix(a.domain, [[a.data[i - 1][j - 1] for j in ci] for i in ri])
+    return Matrix._trusted(a.domain, [[a.data[i - 1][j - 1] for j in ci] for i in ri])
 
 
 def submatrix_delete(a: Matrix, row_indices: Sequence[int], col_indices: Sequence[int]) -> Matrix:
@@ -126,13 +138,13 @@ def submatrix_delete(a: Matrix, row_indices: Sequence[int], col_indices: Sequenc
 def append_ones_column(x: Matrix) -> Matrix:
     """Same matrix with one extra column of ones on the right."""
     o = x.domain.one
-    return Matrix(x.domain, [row + (o,) for row in x.data])
+    return Matrix._trusted(x.domain, [row + (o,) for row in x.data])
 
 
 def append_zero_row(x: Matrix) -> Matrix:
     """Same matrix with one extra all-zero row at the bottom."""
     z = x.domain.zero
-    return Matrix(x.domain, list(x.data) + [(z,) * x.cols])
+    return Matrix._trusted(x.domain, list(x.data) + [(z,) * x.cols])
 
 
 def append_ones_column_and_unit_row(x: Matrix) -> Matrix:
@@ -141,7 +153,7 @@ def append_ones_column_and_unit_row(x: Matrix) -> Matrix:
     z, o = x.domain.zero, x.domain.one
     rows = [row + (o,) for row in x.data]
     rows.append((z,) * x.cols + (o,))
-    return Matrix(x.domain, rows)
+    return Matrix._trusted(x.domain, rows)
 
 
 def skew_kernel_matrix(n: int, domain: Domain) -> Matrix:
@@ -192,6 +204,39 @@ def _kernel_times_column(col: tuple, domain: Domain) -> list:
     return out
 
 
+def _skew_product(cols: Sequence, domain: Domain) -> list:
+    """Rows of the k x k skew product of k columns against K: entry (p,q)
+    for p < q is column p dotted with K times column q, entry (q,p) its
+    negation, and the diagonal zero."""
+    dot, neg, z = domain.dot, domain.neg, domain.zero
+    k = len(cols)
+    rows = [[z] * k for _ in range(k)]
+    for q in range(1, k):
+        kq = _kernel_times_column(cols[q], domain)
+        for p in range(q):
+            v = dot(cols[p], kq)
+            rows[p][q] = v
+            rows[q][p] = neg(v)
+    return rows
+
+
+def cleared_kernel_sandwich(a: Matrix) -> tuple:
+    """(Y', L) for a rational matrix a: L_j is the lcm of the denominators
+    in column j, and Y' = A'^T K A' over a.domain.integers for the integer
+    numerators A' = A D, D = diag(L). Then A^T K A = D^-1 Y' D^-1, and
+    since the Pfaffian is multilinear in the columns,
+    pf(A^T K A) = pf(Y') / prod(L).
+
+    Counted like kernel_sandwich; the clearing itself is not counted.
+    """
+    cols = tuple(zip(*a.data))
+    scales = [math.lcm(*(v.denominator for v in col)) for col in cols]
+    cleared = [[v.numerator * (s // v.denominator) for v in col]
+               for col, s in zip(cols, scales)]
+    ints = a.domain.integers
+    return Matrix._trusted(ints, _skew_product(cleared, ints)), scales
+
+
 def kernel_sandwich(a: Matrix) -> Matrix:
     """A^T K A for the skew kernel K of size a.rows, without forming K.
 
@@ -202,34 +247,24 @@ def kernel_sandwich(a: Matrix) -> Matrix:
     by construction in every domain. Cost for an n x k input: n k(k-1)/2
     multiplications and O(n k^2) additions.
 
-    Rational input runs on integer numerators: column j is scaled by the
-    lcm L_j of its denominators, the same loop forms the integer product
-    Y', and each entry becomes Y'_pq / (L_p L_q), one division per entry.
-    That is exact, since A = A' D^-1 with D = diag(L). The counted cost is
-    the same as for Fraction arithmetic throughout.
+    Rational input runs on integer numerators: cleared_kernel_sandwich
+    forms the integer product Y', and each entry becomes Y'_pq / (L_p L_q),
+    one division per entry. The determinant route does not use this
+    Fraction product for rationals: it takes the Pfaffian of Y' itself.
+    Float entries keep the domain's finite check, so an overflow inside
+    the product stops here.
     """
     dom = a.domain
-    dot, neg, z = dom.dot, dom.neg, dom.zero
-    cols = tuple(zip(*a.data))
-    scales = None
     if dom.tag == "rational":
-        scales = [math.lcm(*(v.denominator for v in col)) for col in cols]
-        cols = [[v.numerator * (s // v.denominator) for v in col]
-                for col, s in zip(cols, scales)]
-    k = len(cols)
-    rows = [[z] * k for _ in range(k)]
-    for q in range(1, k):
-        kq = _kernel_times_column(cols[q], dom)
-        for p in range(q):
-            v = dot(cols[p], kq)
-            rows[p][q] = v
-            rows[q][p] = neg(v)
-    if scales is not None:
-        for q in range(1, k):
+        y, scales = cleared_kernel_sandwich(a)
+        rows = [[dom.zero] * len(scales) for _ in scales]
+        for q in range(1, len(scales)):
             for p in range(q):
-                v = Fraction(rows[p][q], scales[p] * scales[q])
+                v = Fraction(y.data[p][q], scales[p] * scales[q])
                 rows[p][q], rows[q][p] = v, -v
-    return Matrix(dom, rows)
+        return Matrix._trusted(dom, rows)
+    rows = _skew_product(tuple(zip(*a.data)), dom)
+    return Matrix(dom, rows) if dom.approximate else Matrix._trusted(dom, rows)
 
 
 def is_skew_symmetric(a: Matrix) -> bool:

@@ -185,13 +185,21 @@ class IntegerDomain(Domain):
 
 
 class RationalDomain(Domain):
-    """Exact rationals kept normalized (positive denominator, lowest terms)."""
+    """Exact rationals kept normalized (positive denominator, lowest terms).
+
+    `integers` is the domain the numerators live in: the determinant route
+    clears each column's denominators and computes over it.
+    """
 
     name = "rational"
     tag = "rational"
     tier = Tier.FIELD
     zero = Fraction(0)
     one = Fraction(1)
+
+    @property
+    def integers(self) -> Domain:
+        return INTEGER
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -350,6 +358,14 @@ class CountingIntegerDomain(_CountingMixin, IntegerDomain):
 
 
 class CountingRationalDomain(_CountingMixin, RationalDomain):
+    @property
+    def integers(self) -> Domain:
+        """Counting integers whose tallies land on this instance: the view
+        shares this instance's attributes, its counters among them."""
+        view = CountingIntegerDomain.__new__(CountingIntegerDomain)
+        view.__dict__ = self.__dict__
+        return view
+
     def exact_div(self, a, b):
         self.mults += 1
         if b == 0:

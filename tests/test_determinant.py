@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cullis.bench import random_matrix
+from cullis.bench import count_operations, random_matrix
 from cullis.determinant import (
     METHODS,
     det,
@@ -23,6 +23,7 @@ from cullis.matrix import (
     MatrixError,
     append_ones_column,
     append_ones_column_and_unit_row,
+    cleared_kernel_sandwich,
     is_skew_symmetric,
     kernel_sandwich,
     multiply,
@@ -469,6 +470,70 @@ class TestStructuredSandwich:
         value = det_by_pfaffian(x)
         assert value == spec and type(value) is type(spec)
         assert value == det_by_minors(x)
+
+
+def _zero_leading_pivot(rng, n, k):
+    """Tall rationals, k even, whose cleared product has Y'_12 = 0: column 2
+    is redrawn orthogonal to K times column 1."""
+    x = random_matrix(rng, n, k, RATIONAL)
+    kern = skew_kernel_matrix(n, RATIONAL)
+    c1 = [row[0] for row in x.data]
+    w = [sum(kv * v for kv, v in zip(krow, c1)) for krow in kern.data]
+    c2 = [row[1] for row in x.data]
+    j = next(i for i, v in enumerate(w) if v)
+    c2[j] = -sum(wi * v for i, (wi, v) in enumerate(zip(w, c2)) if i != j) / w[j]
+    return Matrix(RATIONAL, [(r[0], c2[i]) + r[2:] for i, r in enumerate(x.data)])
+
+
+class TestRationalRoute:
+    """Rationals under engine "auto": the fraction-free Pfaffian of the
+    column-cleared integer product, divided once at the end."""
+
+    @staticmethod
+    def check(x):
+        value = det(x)
+        assert type(value) is Fraction
+        assert value == det_by_minors(x) == det(x, engine="eliminate")
+        assert det(x, engine="fraction-free") == value
+        return value
+
+    @pytest.mark.parametrize("n,k", [(12, 6), (16, 8)])
+    def test_distinct_prime_denominators(self, n, k):
+        x = _prime_denominators(Random(n * 100 + k), n, k)
+        assert self.check(x) != 0
+
+    def test_all_zero_column(self):
+        for n, k in ((6, 4), (7, 3), (5, 5)):
+            assert self.check(_zero_column(Random(n + k), n, k)) == 0
+
+    def test_zero_leading_pivot_swaps(self):
+        rng = Random(5)
+        x = _zero_leading_pivot(rng, 6, 4)
+        y, _ = cleared_kernel_sandwich(x)
+        assert y.data[0][1] == 0 and any(y.data[0][2:])
+        assert self.check(x) != 0
+
+    @pytest.mark.parametrize("n,k", [(8, 4), (8, 5), (7, 5)])  # no pad, ones column, both
+    def test_padding_cases(self, n, k):
+        rng = Random(n * 10 + k)
+        for _ in range(3):
+            self.check(random_matrix(rng, n, k, RATIONAL))
+
+    def test_wide_input_through_the_transpose(self):
+        rng = Random(4)
+        for n, k in ((3, 6), (4, 7), (5, 8)):
+            x = random_matrix(rng, n, k, RATIONAL)
+            assert self.check(x) == det(transpose(x))
+
+    def test_integer_valued_input_counts_like_the_integers(self):
+        for n, k in ((12, 6), (9, 5), (3, 7)):
+            xi = random_matrix(Random(n * k), n, k, INTEGER)
+            value, mults, adds = count_operations(Matrix(RATIONAL, xi.data), "fast")
+            assert (value, mults, adds) == count_operations(xi, "fast")
+            assert type(value) is Fraction
+            # the condensation is counted, not only the sandwich
+            a = padded(xi)
+            assert mults > a.rows * a.cols * (a.cols - 1) // 2
 
 
 @st.composite

@@ -14,13 +14,15 @@ from cullis.matrix import (
     append_zero_row,
     identity,
     is_skew_symmetric,
+    kernel_sandwich,
     multiply,
     skew_kernel_matrix,
     submatrix_delete,
     submatrix_select,
     transpose,
 )
-from cullis.scalars import FLOAT, INTEGER, RATIONAL, ScalarError
+from cullis.matio import parse_matrix_text
+from cullis.scalars import FLOAT, INTEGER, RATIONAL, IntegerDomain, ScalarError
 
 
 def mat(rows):
@@ -60,6 +62,37 @@ class TestConstruction:
     def test_rejects_foreign_scalars(self):
         with pytest.raises(ScalarError):
             Matrix(INTEGER, [[1.5]])
+
+    def test_trusted_constructor_keeps_the_shape_checks(self):
+        for rows in ([], [[]], [[1, 2], [3]]):
+            with pytest.raises(MatrixError):
+                Matrix._trusted(INTEGER, rows)
+
+    def test_derived_matrices_are_not_recoerced(self):
+        class Spy(IntegerDomain):
+            calls = 0
+
+            def coerce(self, value):
+                Spy.calls += 1
+                return super().coerce(value)
+
+        dom = Spy()
+        x = Matrix(dom, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        assert Spy.calls == 9  # the public constructor coerces
+        for op in (transpose, append_ones_column, append_zero_row,
+                   append_ones_column_and_unit_row, kernel_sandwich):
+            assert op(x).domain is dom
+        assert submatrix_select(x, [1, 3], [2]).data == ((2,), (8,))
+        assert Spy.calls == 9
+
+    def test_parsed_entries_are_not_recoerced(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError("parsed entries were coerced again")
+
+        monkeypatch.setattr(RATIONAL, "coerce", refuse)
+        x = parse_matrix_text("1/2, 3\n-4, 5/6\n", "rational")
+        assert x.data == ((Fraction(1, 2), 3), (-4, Fraction(5, 6)))
+        assert all(type(v) is Fraction for row in x.data for v in row)
 
     def test_entry_range_errors(self):
         x = mat([[1, 2], [3, 4]])

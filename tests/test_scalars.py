@@ -274,6 +274,20 @@ class TestCounting:
         c.format(12)
         assert c.mults == 0 and c.adds == 0
 
+    def test_rational_numerators_live_in_the_integers(self):
+        assert RATIONAL.integers is INTEGER
+
+    def test_counting_rational_tallies_its_integer_arithmetic(self):
+        c = RATIONAL.counting()
+        ints = c.integers
+        assert ints.tag == "int" and ints.counting().mults == 0
+        ints.mul(2, 3)
+        ints.dot([1, 2], [3, 4])
+        ints.sub(5, 1)
+        c.mul(Fraction(1, 2), Fraction(1, 3))
+        assert c.mults == ints.mults == 4 and c.adds == ints.adds == 2
+        assert RATIONAL.counting().mults == 0
+
     def test_counting_preserves_semantics(self):
         c = INTEGER.counting()
         assert c.exact_div(6, 3) == 2

@@ -12,14 +12,31 @@ Two formats, sniffed by the first non-whitespace character:
   CSV (anything else): one row per line, cells separated by commas and
     stripped of surrounding blanks; blank lines are skipped. The scalar
     domain comes from the explicit tag, default "int".
+
+Rows convert in bulk, one map per row: a CSV line that matches the domain's
+literal grammar cell for cell (spaces and tabs around cells allowed), and a
+JSON row of grammar strings, through Domain.parse_row; any other JSON row
+through Domain.coerce. A row that fails its gate, or that the bulk step
+cannot finish, is parsed cell by cell, which names the first bad entry.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .matrix import Matrix
 from .scalars import DOMAINS, ScalarError, _long_int, get_domain
+
+_JSON_CELL_TYPES = frozenset((str, int, float))
+
+
+def _csv_line_pattern(literal: re.Pattern) -> re.Pattern:
+    cell = rf"[ \t]*(?:{literal.pattern})[ \t]*"
+    return re.compile(rf"{cell}(?:,{cell})*")
+
+
+_CSV_LINE = {tag: _csv_line_pattern(dom.literal) for tag, dom in DOMAINS.items()}
 
 
 class MatrixInputError(ValueError):
@@ -73,27 +90,59 @@ def _document_from_json(text: str) -> MatrixDocument:
     for i, row in enumerate(data, 1):
         if not isinstance(row, list) or len(row) != cols:
             raise MatrixInputError(f"row {i} must be a list of {cols} entries")
-        for j, cell in enumerate(row, 1):
-            if isinstance(cell, bool) or not isinstance(cell, (str, int, float)):
-                raise MatrixInputError(
-                    f"entry ({i},{j}) must be a string literal or a number")
+        # json.loads makes exact types, so bools fail this gate
+        if not _JSON_CELL_TYPES.issuperset(map(type, row)):
+            j = next(j for j, cell in enumerate(row, 1) if type(cell) not in _JSON_CELL_TYPES)
+            raise MatrixInputError(f"entry ({i},{j}) must be a string literal or a number")
     return MatrixDocument(rows=rows, cols=cols, domain=domain, data=data)
 
 
-def _document_from_csv(text: str, domain: str) -> MatrixDocument:
-    rows = []
+def _csv_lines(text: str) -> list:
+    """The non-blank lines, after checking that each has as many cells as
+    the first."""
+    lines = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        cells = [cell.strip() for cell in line.split(",")]
-        if rows and len(cells) != len(rows[0][1]):
-            raise MatrixInputError(
-                f"line {lineno}: expected {len(rows[0][1])} cells, got {len(cells)}")
-        rows.append((lineno, cells))
-    if not rows:
+        cells = line.count(",") + 1
+        if not lines:
+            width = cells
+        elif cells != width:
+            raise MatrixInputError(f"line {lineno}: expected {width} cells, got {cells}")
+        lines.append(line)
+    if not lines:
         raise MatrixInputError("no matrix rows in input")
-    return MatrixDocument(rows=len(rows), cols=len(rows[0][1]), domain=domain,
-                          data=[cells for _, cells in rows])
+    return lines
+
+
+def _parse_cells(dom, i: int, cells) -> list:
+    """Row i (1-based) cell by cell: strings through dom.parse, numbers
+    through dom.coerce, the first failure named by its position."""
+    out = []
+    for j, cell in enumerate(cells, 1):
+        try:
+            out.append(dom.parse(cell) if isinstance(cell, str) else dom.coerce(cell))
+        except ScalarError as exc:
+            raise MatrixInputError(f"entry ({i},{j}): {exc}") from None
+    return out
+
+
+def _csv_row(dom, i: int, line: str) -> list:
+    values = dom.parse_row(line.split(",")) if _CSV_LINE[dom.tag].fullmatch(line) else None
+    if values is None:
+        values = _parse_cells(dom, i, [cell.strip() for cell in line.split(",")])
+    return values
+
+
+def _json_row(dom, i: int, row: list) -> list:
+    if set(map(type, row)) == {str}:
+        values = dom.parse_row(row) if all(map(dom.literal.fullmatch, row)) else None
+    else:
+        try:
+            values = list(map(dom.coerce, row))
+        except ScalarError:  # a string among numbers, or a number out of the domain
+            values = None
+    return _parse_cells(dom, i, row) if values is None else values
 
 
 def parse_matrix_text(text: str, scalar_tag: str | None = None) -> Matrix:
@@ -107,20 +156,13 @@ def parse_matrix_text(text: str, scalar_tag: str | None = None) -> Matrix:
         if scalar_tag is not None and scalar_tag != doc.domain:
             raise MatrixInputError(
                 f"document declares domain {doc.domain!r} but {scalar_tag!r} was requested")
+        dom = get_domain(doc.domain)
+        rows = [_json_row(dom, i, row) for i, row in enumerate(doc.data, 1)]
     else:
-        doc = _document_from_csv(text, scalar_tag if scalar_tag is not None else "int")
-    dom = get_domain(doc.domain)
-    parsed = []
-    for i, row in enumerate(doc.data, 1):
-        out = []
-        for j, cell in enumerate(row, 1):
-            try:
-                value = dom.parse(cell) if isinstance(cell, str) else dom.coerce(cell)
-            except ScalarError as exc:
-                raise MatrixInputError(f"entry ({i},{j}): {exc}") from None
-            out.append(value)
-        parsed.append(out)
-    return Matrix._trusted(dom, parsed)
+        lines = _csv_lines(text)
+        dom = get_domain(scalar_tag if scalar_tag is not None else "int")
+        rows = [_csv_row(dom, i, line) for i, line in enumerate(lines, 1)]
+    return Matrix._trusted(dom, rows)
 
 
 def load_matrix_file(path: str, scalar_tag: str | None = None) -> Matrix:
@@ -129,4 +171,7 @@ def load_matrix_file(path: str, scalar_tag: str | None = None) -> Matrix:
             text = fh.read()
     except OSError as exc:
         raise MatrixInputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MatrixInputError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_matrix_text(text, scalar_tag)

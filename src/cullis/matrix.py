@@ -183,27 +183,6 @@ def skew_kernel_matrix(n: int, domain: Domain) -> Matrix:
     return Matrix(domain, rows)
 
 
-def _kernel_times_column(col: tuple, domain: Domain) -> list:
-    """K times one column, in O(n) additions and no multiplications.
-
-    With b_j = (-1)^j a_j, S their total and P_i the prefix sum before i,
-    row i of c = K a is (-1)^(i+1) (S - 2 P_i - b_i). Consecutive rows then
-    satisfy c_{i+1} = a_{i+1} - a_i - c_i, two subtractions each, starting
-    from c_1 = a_2 - a_3 + a_4 - ... (indices 1-based).
-    """
-    add, sub = domain.add, domain.sub
-    if len(col) == 1:
-        return [domain.zero]
-    c = col[1]
-    for j in range(2, len(col)):
-        c = add(c, col[j]) if j % 2 else sub(c, col[j])
-    out = [c]
-    for lo, hi in zip(col, col[1:]):
-        c = sub(sub(hi, lo), c)
-        out.append(c)
-    return out
-
-
 def _skew_product(cols: Sequence, domain: Domain) -> list:
     """Rows of the k x k skew product of k columns against K: entry (p,q)
     for p < q is column p dotted with K times column q, entry (q,p) its
@@ -212,7 +191,7 @@ def _skew_product(cols: Sequence, domain: Domain) -> list:
     k = len(cols)
     rows = [[z] * k for _ in range(k)]
     for q in range(1, k):
-        kq = _kernel_times_column(cols[q], domain)
+        kq = domain.kernel_column(cols[q])
         for p in range(q):
             v = dot(cols[p], kq)
             rows[p][q] = v

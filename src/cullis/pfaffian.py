@@ -128,7 +128,8 @@ def pfaffian_eliminate(a) -> object:
     then cancel the rest of the leading two rows and columns with the
     congruence update B[i][j] += f[i]*u[j] - u[i]*f[j], which leaves the
     trailing block skew and multiplies the running product by the pivot
-    entry. A fully zero column means the value is zero.
+    entry; the domain's congruence_step applies that update one row at a
+    time. A fully zero column means the value is zero.
     """
     mat = _as_even_skew(a)
     dom = mat.domain
@@ -136,7 +137,7 @@ def pfaffian_eliminate(a) -> object:
         raise CapabilityError(f"field elimination needs a field, not {dom.name}")
     n = mat.rows
     rows = [list(r) for r in mat.data]
-    add, sub, mul, neg, div = dom.add, dom.sub, dom.mul, dom.neg, dom.exact_div
+    mul, div = dom.mul, dom.exact_div
     negate = False
     result = None
     for base in range(0, n, 2):
@@ -161,19 +162,9 @@ def pfaffian_eliminate(a) -> object:
         p = rows[base][base + 1]
         result = p if result is None else mul(result, p)
         if base + 2 < n:
-            u = rows[base]
             v = rows[base + 1]
-            f = [div(v[j], p) for j in range(base + 2, n)]
-            off = base + 2
-            for i in range(base + 2, n):
-                ri = rows[i]
-                fi = f[i - off]
-                ui = u[i]
-                for j in range(i + 1, n):
-                    val = add(ri[j], sub(mul(fi, u[j]), mul(ui, f[j - off])))
-                    ri[j] = val
-                    rows[j][i] = neg(val)
-    return neg(result) if negate else result
+            dom.congruence_step(rows, rows[base], [div(v[j], p) for j in range(base + 2, n)])
+    return dom.neg(result) if negate else result
 
 
 def pfaffian_fraction_free(a) -> object:
@@ -187,7 +178,8 @@ def pfaffian_fraction_free(a) -> object:
     where d is the previous block's pivot (1 at the start). Each updated
     entry is again a Pfaffian of a principal submatrix of the input drawn
     on the processed indices plus {i,j}, which is why the division is exact
-    and why the single entry left at the end is the full Pfaffian. A zero
+    and why the single entry left at the end is the full Pfaffian. The
+    domain's condensation_step updates the block one row at a time. A zero
     pivot is repaired by swapping a nonzero mate into position, flipping
     the sign; a fully zero leading row means the value is zero.
     """
@@ -197,7 +189,6 @@ def pfaffian_fraction_free(a) -> object:
         raise CapabilityError(f"fraction-free condensation needs exact division, not {dom.name}")
     n = mat.rows
     rows = [list(r) for r in mat.data]
-    add, sub, mul, neg, ediv = dom.add, dom.sub, dom.mul, dom.neg, dom.exact_div
     divisor = dom.one
     negate = False
     for base in range(0, n - 2, 2):
@@ -211,24 +202,13 @@ def pfaffian_fraction_free(a) -> object:
         if pivot_col != base + 1:
             _swap_pair(rows, base + 1, pivot_col)
             negate = not negate
-        p = rows[base][base + 1]
-        rb0 = rows[base]
-        rb1 = rows[base + 1]
-        for i in range(base + 2, n):
-            ri = rows[i]
-            c0i = rb0[i]
-            c1i = rb1[i]
-            for j in range(i + 1, n):
-                num = add(sub(mul(p, ri[j]), mul(c0i, rb1[j])), mul(rb0[j], c1i))
-                try:
-                    q = ediv(num, divisor)
-                except ExactDivisionError as exc:
-                    raise FractionFreeInvariantError(
-                        f"inexact division at block {base // 2}: {exc}"
-                    ) from exc
-                ri[j] = q
-                rows[j][i] = neg(q)
-        divisor = p
+        try:
+            dom.condensation_step(rows, base, divisor)
+        except ExactDivisionError as exc:
+            raise FractionFreeInvariantError(
+                f"inexact division at block {base // 2}: {exc}"
+            ) from exc
+        divisor = rows[base][base + 1]
     val = rows[n - 2][n - 1]
     return dom.neg(val) if negate else val
 

@@ -40,9 +40,13 @@ class Tier(IntEnum):
     FIELD = 3
 
 
-_INT_RE = re.compile(r"-?[0-9]+$")
-_FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)$")
-_FLOAT_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?$")
+# The literal grammars, matched with fullmatch. Each pattern has exactly one
+# way to match a given text, so a pattern that repeats one of them over a
+# whole CSV line (see matio) fails in time linear in the line.
+_INT_RE = re.compile(r"-?[0-9]+")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+_FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 # CPython refuses int(text) past 4300 digits by default (the process-wide
 # int_max_str_digits limit); longer literals are converted in chunks this
@@ -61,11 +65,28 @@ def _long_int(text: str) -> int:
     return -value if text[0] == "-" else value
 
 
+def _store_skew_row(rows, i, values):
+    """Write `values` into row i right of the diagonal and their negations
+    into column i below it."""
+    rows[i][i + 1:] = values
+    for rj, v in zip(rows[i + 1:], values):
+        rj[i] = -v
+
+
 class Domain:
     """Arithmetic, parsing, and equality for one scalar value type.
 
     Shared instances (INTEGER, RATIONAL, FLOAT) do no bookkeeping; call
     :meth:`counting` to get a fresh instance that tallies operations.
+
+    Besides the scalar operations, the hot loops run as bulk operations,
+    one comprehension or map per row, which a counting instance tallies in
+    one step per call with the same counts as the scalar operations they
+    stand for: :meth:`dot` and :meth:`kernel_column` (the sandwich),
+    :meth:`congruence_step` and :meth:`condensation_step` (the two O(m^3)
+    Pfaffian engines), and :meth:`elimination_step` (Bareiss, for square
+    blocks and the minor-sum oracle). :meth:`parse_row` is the bulk form of
+    parse and, like it, is not counted.
     """
 
     name = "ring"
@@ -74,6 +95,7 @@ class Domain:
     approximate = False
     zero: object = 0
     one: object = 1
+    literal: re.Pattern  # the grammar parse accepts, for fullmatch
 
     def coerce(self, value):
         raise NotImplementedError
@@ -93,6 +115,54 @@ class Domain:
     def dot(self, u, v):
         """Sum of the products of two equal-length, non-empty vectors."""
         return sum(map(operator.mul, u, v))
+
+    def kernel_column(self, col):
+        """K times one column, for the skew kernel K of
+        matrix.skew_kernel_matrix, in O(n) additions and no multiplications.
+
+        With b_j = (-1)^j a_j, S their total and P_i the prefix sum before i,
+        row i of c = K a is (-1)^(i+1) (S - 2 P_i - b_i). Consecutive rows then
+        satisfy c_{i+1} = a_{i+1} - a_i - c_i, two subtractions each, starting
+        from c_1 = a_2 - a_3 + a_4 - ... (indices 1-based).
+        """
+        if len(col) == 1:
+            return [self.zero]
+        c = col[1]
+        for minus, plus in zip(col[2::2], col[3::2]):
+            c = c - minus + plus
+        if len(col) % 2:
+            c = c - col[-1]
+        out = [c]
+        for lo, hi in zip(col, col[1:]):
+            c = (hi - lo) - c
+            out.append(c)
+        return out
+
+    def congruence_step(self, rows, u, f):
+        """The field elimination's update of the trailing block, in place.
+
+        `rows` is the working skew matrix as lists, `u` the leading row of
+        the pair just eliminated and `f` the quotients v[j] / p over the
+        block's indices, which start at off = len(rows) - len(f). Every
+        B[i][j] with off <= i < j becomes B[i][j] + (f[i]*u[j] - u[i]*f[j])
+        and B[j][i] its negation, so the block stays skew.
+        """
+        off = len(rows) - len(f)
+        for t in range(len(f) - 1):
+            i = off + t
+            fi, ui = f[t], u[i]
+            _store_skew_row(rows, i, [x + (fi * uj - ui * fj)
+                                      for x, uj, fj in zip(rows[i][i + 1:], u[i + 1:], f[t + 1:])])
+
+    def condensation_step(self, rows, base, d):
+        """One step of the fraction-free Pfaffian condensation, in place.
+
+        With leading rows c0 = rows[base], c1 = rows[base+1] and pivot
+        p = c0[base+1], every B[i][j] with base+2 <= i < j becomes
+        ((p*B[i][j] - c0[i]*c1[j]) + c0[j]*c1[i]) / d, every quotient exact,
+        and B[j][i] its negation. Needs exact division.
+        """
+        raise CapabilityError(f"{self.name} scalars have no fraction-free condensation")
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -119,6 +189,12 @@ class Domain:
     def parse(self, text: str):
         raise NotImplementedError
 
+    def parse_row(self, cells):
+        """Values of cells that each fullmatch `literal`, with blanks (spaces
+        and tabs) allowed around them, or None when one of them needs
+        parse itself to get its value or to name the fault."""
+        raise NotImplementedError
+
     def format(self, value) -> str:
         return str(value)
 
@@ -142,6 +218,7 @@ class IntegerDomain(Domain):
     tier = Tier.INTEGRAL_DOMAIN
     zero = 0
     one = 1
+    literal = _INT_RE
 
     def coerce(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -172,6 +249,22 @@ class IntegerDomain(Domain):
             out.append(row)
         return out
 
+    def condensation_step(self, rows, base, d):
+        if d == 0:
+            raise ExactDivisionError("division by zero")
+        c0, c1 = rows[base], rows[base + 1]
+        p = c0[base + 1]
+        for i in range(base + 2, len(rows) - 1):
+            c0i, c1i = c0[i], c1[i]
+            quotients, remainders = zip(*[
+                divmod((p * x - c0i * b1j) + b0j * c1i, d)
+                for x, b0j, b1j in zip(rows[i][i + 1:], c0[i + 1:], c1[i + 1:])])
+            if any(remainders):
+                t = next(t for t, r in enumerate(remainders) if r)
+                raise ExactDivisionError(
+                    f"{quotients[t] * d + remainders[t]} is not divisible by {d}")
+            _store_skew_row(rows, i, quotients)
+
     def parse(self, text: str):
         if not _INT_RE.fullmatch(text):
             raise ScalarParseError(f"not an integer literal: {text!r}")
@@ -179,6 +272,12 @@ class IntegerDomain(Domain):
             return int(text)
         except ValueError:  # past the int/str digit limit
             return _long_int(text)
+
+    def parse_row(self, cells):
+        try:
+            return list(map(int, cells))
+        except ValueError:  # past the int/str digit limit
+            return None
 
     def counting(self):
         return CountingIntegerDomain()
@@ -196,6 +295,7 @@ class RationalDomain(Domain):
     tier = Tier.FIELD
     zero = Fraction(0)
     one = Fraction(1)
+    literal = _RATIONAL_RE
 
     @property
     def integers(self) -> Domain:
@@ -223,6 +323,16 @@ class RationalDomain(Domain):
             out.append([(p * x - b * y) / d for x, y in zip(r[1:], tail)])
         return out
 
+    def condensation_step(self, rows, base, d):
+        if d == 0:
+            raise ExactDivisionError("division by zero")
+        c0, c1 = rows[base], rows[base + 1]
+        p = c0[base + 1]
+        for i in range(base + 2, len(rows) - 1):
+            c0i, c1i = c0[i], c1[i]
+            _store_skew_row(rows, i, [((p * x - c0i * b1j) + b0j * c1i) / d
+                                      for x, b0j, b1j in zip(rows[i][i + 1:], c0[i + 1:], c1[i + 1:])])
+
     def invert(self, a):
         if a == 0:
             raise ExactDivisionError("zero has no inverse")
@@ -241,6 +351,12 @@ class RationalDomain(Domain):
             raise ScalarParseError(f"zero denominator: {text!r}")
         raise ScalarParseError(f"not a rational literal: {text!r}")
 
+    def parse_row(self, cells):
+        try:
+            return [Fraction(*map(int, cell.split("/"))) for cell in cells]
+        except ValueError:  # past the int/str digit limit
+            return None
+
     def counting(self):
         return CountingRationalDomain()
 
@@ -258,6 +374,7 @@ class FloatDomain(Domain):
     approximate = True
     zero = 0.0
     one = 1.0
+    literal = _FLOAT_RE
     rel_tol = 1e-9
     abs_tol = 1e-12
 
@@ -286,6 +403,9 @@ class FloatDomain(Domain):
             raise ExactDivisionError("zero has no inverse")
         return 1.0 / a
 
+    # the same quotients as the rationals' step, with float division
+    condensation_step = RationalDomain.condensation_step
+
     def parse(self, text: str):
         if not _FLOAT_RE.fullmatch(text):
             raise ScalarParseError(f"not a float literal: {text!r}")
@@ -293,6 +413,10 @@ class FloatDomain(Domain):
         if not math.isfinite(value):
             raise ScalarParseError(f"float literal out of range: {text!r}")
         return value
+
+    def parse_row(self, cells):
+        values = list(map(float, cells))
+        return values if all(map(math.isfinite, values)) else None
 
     def format(self, value) -> str:
         return f"{value:.12g}"
@@ -307,8 +431,13 @@ class _CountingMixin:
     The add/sub/neg/mul/dot operators act identically on int, Fraction, and
     float values, so the mixin performs them inline rather than delegating;
     only division semantics differ and those live in the concrete classes.
-    elimination_step tallies three multiplications (the division among
-    them) and one subtraction per entry it produces, then delegates.
+    The bulk operations tally what their scalar form would, then delegate:
+    elimination_step three multiplications (the division among them) and
+    one subtraction per entry it produces; kernel_column 3n - 4 additions
+    for a column of n > 1 entries; congruence_step two multiplications and
+    three additions (the mirrored negation among them) per updated entry
+    above the diagonal; condensation_step four multiplications (the
+    division among them) and three additions per such entry.
     """
 
     def __init__(self):
@@ -341,6 +470,24 @@ class _CountingMixin:
         self.mults += 3 * entries
         self.adds += entries
         return super().elimination_step(pivot_row, rows, d)
+
+    def kernel_column(self, col):
+        if len(col) > 1:
+            self.adds += 3 * len(col) - 4
+        return super().kernel_column(col)
+
+    def congruence_step(self, rows, u, f):
+        entries = len(f) * (len(f) - 1) // 2
+        self.mults += 2 * entries
+        self.adds += 3 * entries
+        return super().congruence_step(rows, u, f)
+
+    def condensation_step(self, rows, base, d):
+        w = len(rows) - base - 2
+        entries = w * (w - 1) // 2
+        self.mults += 4 * entries
+        self.adds += 3 * entries
+        return super().condensation_step(rows, base, d)
 
     def counting(self):
         return type(self)()

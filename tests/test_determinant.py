@@ -31,7 +31,7 @@ from cullis.matrix import (
     transpose,
 )
 from cullis.pfaffian import SkewMatrix, pfaffian
-from cullis.scalars import FLOAT, INTEGER, RATIONAL, CapabilityError
+from cullis.scalars import DOMAINS, FLOAT, INTEGER, RATIONAL, CapabilityError
 
 ALL_ENGINES = (det_by_minors, det_by_injections, det_by_column_laplace,
                det_by_pfaffian)
@@ -534,6 +534,78 @@ class TestRationalRoute:
             # the condensation is counted, not only the sandwich
             a = padded(xi)
             assert mults > a.rows * a.cols * (a.cols - 1) // 2
+
+
+def _int_zero_leading_pivot(n, k):
+    """Tall integers, k even, whose product Y = A^T K A has Y_12 = 0:
+    column 2 is made orthogonal to K times column 1, so both Pfaffian
+    engines have to swap a pivot into place."""
+    x = random_matrix(Random(n * 100 + k), n, k, INTEGER)
+    c1 = [row[0] for row in x.data]
+    w = [sum(kv * v for kv, v in zip(krow, c1)) for krow in skew_kernel_matrix(n, INTEGER).data]
+    c2 = [row[1] for row in x.data]
+    j = next(i for i, v in enumerate(w) if v)
+    dot = sum(wi * v for wi, v in zip(w, c2))
+    c2 = [w[j] * v - (dot if i == j else 0) for i, v in enumerate(c2)]
+    return Matrix(INTEGER, [(r[0], c2[i]) + r[2:] for i, r in enumerate(x.data)])
+
+
+def _count_input(tag, n, k, swap):
+    dom = DOMAINS[tag]
+    if swap:
+        return Matrix(dom, _int_zero_leading_pivot(n, k).data)
+    return random_matrix(Random(n * 100 + k), n, k, dom)
+
+
+# (domain, n, k, swap) -> (mults, adds) of count_operations(x, "fast"),
+# recorded from the per-entry loops that the row-at-a-time domain ops
+# replaced. Shapes cover even k, odd k with even n, and odd k with odd n;
+# the swap inputs have Y_12 = 0.
+FAST_COUNTS = {
+    ('int', 12, 6, False): (208, 376),
+    ('int', 12, 5, False): (208, 376),
+    ('int', 11, 5, False): (208, 376),
+    ('int', 40, 20, False): (9700, 11569),
+    ('int', 10, 4, True): (64, 148),
+    ('rational', 12, 6, False): (208, 376),
+    ('rational', 12, 5, False): (208, 376),
+    ('rational', 11, 5, False): (208, 376),
+    ('rational', 40, 20, False): (9700, 11569),
+    ('rational', 10, 4, True): (64, 148),
+    ('float', 12, 6, False): (202, 376),
+    ('float', 12, 5, False): (202, 377),
+    ('float', 11, 5, False): (202, 377),
+    ('float', 40, 20, False): (8749, 11569),
+    ('float', 10, 4, True): (65, 148),
+}
+
+
+# float det of random_matrix(Random(n * 100 + k), n, k, FLOAT) for the
+# three padding cases, recorded from the per-entry loops; the row-at-a-time
+# loops keep every operation and its order, so the bits must not move.
+FLOAT_DET_BITS = {
+    (200, 100): '-0x1.4f5b98999f63dp+274',
+    (128, 63): '0x1.49d1599d82e7bp+159',
+    (151, 75): '0x1.1f77b770e3cd8p+188',
+}
+
+
+class TestPinnedCounts:
+    @pytest.mark.parametrize("tag,n,k,swap", sorted(FAST_COUNTS))
+    def test_fast_route_counts(self, tag, n, k, swap):
+        x = _count_input(tag, n, k, swap)
+        value, mults, adds = count_operations(x, "fast")
+        assert (mults, adds) == FAST_COUNTS[tag, n, k, swap]
+        assert value == det(x)
+
+    def test_swap_inputs_have_a_zero_leading_pivot(self):
+        y = kernel_sandwich(_int_zero_leading_pivot(10, 4))
+        assert y.data[0][1] == 0 and any(y.data[0][2:])
+
+    @pytest.mark.parametrize("n,k", sorted(FLOAT_DET_BITS))
+    def test_float_det_bits(self, n, k):
+        value = det(random_matrix(Random(n * 100 + k), n, k, FLOAT))
+        assert value == float.fromhex(FLOAT_DET_BITS[n, k])
 
 
 @st.composite

@@ -133,11 +133,96 @@ class TestJsonParsing:
             parse_matrix_text("[1, 2]")
 
 
+# Literals outside a domain's grammar that int(), float() or Fraction()
+# would still take, and literals with no value in the domain. Each must be
+# named by its position with the per-cell parser's own message.
+GRAMMAR_GATE = [
+    ("int", "+5", "not an integer literal: '+5'"),
+    ("int", "1_000", "not an integer literal: '1_000'"),
+    ("int", "\u0663", "not an integer literal: '\u0663'"),
+    ("int", "0x10", "not an integer literal: '0x10'"),
+    ("int", "1.5", "not an integer literal: '1.5'"),
+    ("float", "nan", "not a float literal: 'nan'"),
+    ("float", "inf", "not a float literal: 'inf'"),
+    ("float", "1e400", "float literal out of range: '1e400'"),
+    ("float", "1_0.5", "not a float literal: '1_0.5'"),
+    ("rational", "1/0", "zero denominator: '1/0'"),
+    ("rational", "2/-3", "not a rational literal: '2/-3'"),
+]
+
+
+class TestGrammarGate:
+    @pytest.mark.parametrize("tag,cell,message", GRAMMAR_GATE)
+    def test_csv(self, tag, cell, message):
+        with pytest.raises(MatrixInputError) as info:
+            parse_matrix_text("1,2,3\n4,5, %s \n" % cell, tag)
+        assert str(info.value) == f"entry (2,3): {message}"
+
+    @pytest.mark.parametrize("tag,cell,message", GRAMMAR_GATE)
+    def test_json(self, tag, cell, message):
+        doc = json.dumps({"rows": 2, "cols": 3, "domain": tag,
+                          "data": [["1", "2", "3"], ["4", "5", cell]]})
+        with pytest.raises(MatrixInputError) as info:
+            parse_matrix_text(doc)
+        assert str(info.value) == f"entry (2,3): {message}"
+
+    @pytest.mark.parametrize("tag,text,rows", [
+        ("int", " 1 ,\t2\t\n\n \t \n3,  4\n", [[1, 2], [3, 4]]),
+        ("rational", "1/2 ,\t-3\n\n4, 5/6\r\n", [[Fraction(1, 2), -3], [4, Fraction(5, 6)]]),
+        ("float", " 0.5 ,\t1e2\n\n.5,3.\n", [[0.5, 100.0], [0.5, 3.0]]),
+        ("int", "1,\u00a02\u2003\n3,4\n", [[1, 2], [3, 4]]),
+    ])
+    def test_blanks_around_cells_and_blank_lines(self, tag, text, rows):
+        x = parse_matrix_text(text, tag)
+        assert x.to_rows() == rows
+        assert all(type(v) is type(x.domain.zero) for row in x.data for v in row)
+
+    @pytest.mark.parametrize("tag", ["int", "rational"])
+    def test_one_long_literal_among_other_cells(self, tag):
+        x = parse_matrix_text("1, %s ,\t-3\n4,5,6\n" % ("7" * 4400), tag)
+        assert x.to_rows() == [[1, (10**4400 - 1) // 9 * 7, -3], [4, 5, 6]]
+
+    def test_one_long_literal_among_float_cells(self):
+        x = parse_matrix_text("1, 0.%s ,-3\n" % ("3" * 4400), "float")
+        assert x.to_rows() == [[1.0, float("0." + "3" * 4400), -3.0]]
+
+    @pytest.mark.parametrize("tag,cell", [("int", "11"), ("float", "11.5e1"), ("rational", "11/2")])
+    def test_long_line_failing_at_its_end(self, tag, cell):
+        # a cell grammar with two ways to match "11" would backtrack through
+        # every earlier cell of this line before giving up
+        with pytest.raises(MatrixInputError) as info:
+            parse_matrix_text(", ".join([cell] * 3000) + ", x\n", tag)
+        assert str(info.value).startswith("entry (1,3001): not a")
+
+    @pytest.mark.parametrize("tag,data,rows", [
+        ("rational", [[1, -2], ["1/2", "3"], ["-4/6", 5]],
+         [[1, -2], [Fraction(1, 2), 3], [Fraction(-2, 3), 5]]),
+        ("float", [[1, -2.5], ["1e2", "3"], ["-.5", 5]], [[1.0, -2.5], [100.0, 3.0], [-0.5, 5.0]]),
+        ("int", [[1, -2], ["12", "3"], ["-4", 5]], [[1, -2], [12, 3], [-4, 5]]),
+    ])
+    def test_json_rows_of_numbers_of_strings_and_of_both(self, tag, data, rows):
+        x = parse_matrix_text(json.dumps({"rows": 3, "cols": 2, "domain": tag, "data": data}))
+        assert x.to_rows() == rows
+        assert all(type(v) is type(x.domain.zero) for row in x.data for v in row)
+
+    def test_ragged_row_message(self):
+        for text in ("1,2\n3\n", "x,1\n3\n"):  # ragged rows are found before bad literals
+            with pytest.raises(MatrixInputError) as info:
+                parse_matrix_text(text)
+            assert str(info.value) == "line 2: expected 2 cells, got 1"
+
+
 class TestLoadFile:
     def test_reads_utf8_file(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,2\n3,4\n", encoding="utf-8")
         assert load_matrix_file(str(p)).to_rows() == [[1, 2], [3, 4]]
+
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"\xff\xfe1,2\n")
+        with pytest.raises(MatrixInputError, match="not UTF-8"):
+            load_matrix_file(str(p))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MatrixInputError, match="cannot read"):
@@ -188,6 +273,14 @@ class TestComputeCommand:
     def test_missing_file_exits_two(self, tmp_path):
         code, out, err = run_cli(["compute", "--input", str(tmp_path / "no.csv")])
         assert code == 2 and "cannot read" in err
+
+    def test_non_utf8_file_exits_two(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"\xff\xfe1,2\n")
+        code, out, err = run_cli(["compute", "--input", str(p)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read") and "not UTF-8" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_method_exits_two(self, tmp_path):
         p = tmp_path / "m.csv"

@@ -18,6 +18,7 @@ from cullis.pfaffian import (
     pfaffian_laplace,
 )
 from cullis.scalars import (
+    DOMAINS,
     FLOAT,
     INTEGER,
     RATIONAL,
@@ -203,6 +204,49 @@ class TestAlgebraicIdentities:
         assert pfaffian(SkewMatrix(Matrix(INTEGER, rows))) == pfaffian(s)
 
 
+def _count_skew(size, swap):
+    """random_skew(Random(size), size), with entry (1,2) zeroed for swap
+    inputs so that both O(m^3) engines move a pivot into place."""
+    s = random_skew(Random(size), size)
+    if not swap:
+        return s
+    rows = s.matrix.to_rows()
+    rows[0][1] = rows[1][0] = 0
+    return SkewMatrix(Matrix(INTEGER, rows))
+
+
+# (engine, domain, size, swap) -> (mults, adds) on a counting copy of
+# _count_skew(size, swap), recorded from the per-entry loops that the
+# row-at-a-time domain ops replaced.
+ENGINE_COUNTS = {
+    ('eliminate', 'rational', 8, False): (59, 94),
+    ('eliminate', 'rational', 12, False): (225, 351),
+    ('eliminate', 'rational', 10, True): (124, 196),
+    ('eliminate', 'float', 8, False): (59, 94),
+    ('eliminate', 'float', 12, False): (225, 352),
+    ('eliminate', 'float', 10, True): (124, 195),
+    ('fraction-free', 'int', 8, False): (88, 94),
+    ('fraction-free', 'int', 12, False): (380, 351),
+    ('fraction-free', 'int', 10, True): (200, 196),
+    ('fraction-free', 'rational', 8, False): (88, 94),
+    ('fraction-free', 'rational', 12, False): (380, 351),
+    ('fraction-free', 'rational', 10, True): (200, 196),
+    ('fraction-free', 'float', 8, False): (88, 94),
+    ('fraction-free', 'float', 12, False): (380, 351),
+    ('fraction-free', 'float', 10, True): (200, 196),
+}
+
+
+class TestPinnedEngineCounts:
+    @pytest.mark.parametrize("engine,tag,size,swap", sorted(ENGINE_COUNTS))
+    def test_counts(self, engine, tag, size, swap):
+        s = _count_skew(size, swap)
+        counter = DOMAINS[tag].counting()
+        value = ENGINES[engine](SkewMatrix(Matrix(counter, s.matrix.data)))
+        assert (counter.mults, counter.adds) == ENGINE_COUNTS[engine, tag, size, swap]
+        assert counter.eq(value, pfaffian_fraction_free(s))
+
+
 @st.composite
 def _skew_strategy(draw):
     size = draw(st.sampled_from((2, 4, 6)))
@@ -253,7 +297,8 @@ class TestErrorContracts:
 
     def test_inexact_division_is_wrapped(self):
         class BrokenDivision(IntegerDomain):
-            def exact_div(self, a, b):
+            # the engine divides inside the domain's condensation step
+            def condensation_step(self, rows, base, d):
                 raise ExactDivisionError("forced")
 
         dom = BrokenDivision()

@@ -9,11 +9,11 @@ for a large shape benches the fast route alone rather than hanging.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 from random import Random
 from statistics import median
+from typing import NamedTuple
 
 from .determinant import det
 from .matrix import Matrix
@@ -73,8 +73,7 @@ def count_operations(x: Matrix, method: str):
     return value, dom.mults, dom.adds
 
 
-@dataclass(frozen=True)
-class MethodReport:
+class MethodReport(NamedTuple):
     """One benchmark row: a single engine on a single shape."""
     n: int
     k: int

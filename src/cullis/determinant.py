@@ -93,22 +93,57 @@ def _det_rows(rows: list, dom: Domain):
     return _gauss_det(rows, dom) if dom.approximate else _bareiss_det(rows, dom)
 
 
+def _cleared_rows(x: Matrix) -> tuple:
+    """(rows, prod(L)) for a rational matrix: the rows of integers that
+    scale column j by L_j, the lcm of its denominators. A determinant is
+    multilinear in its columns, so the determinant of any block of the
+    rational rows is that of the same block of these rows over prod(L).
+
+    The oracle's own clearing, kept apart from the fast route's, so that
+    the oracle shares no code with the route it checks.
+    """
+    scales, cols = [], []
+    for col in zip(*x.data):
+        s = math.lcm(*(v.denominator for v in col))
+        scales.append(s)
+        cols.append([v.numerator * (s // v.denominator) for v in col])
+    return list(zip(*cols)), math.prod(scales)
+
+
 def square_det(x: Matrix):
-    """Ordinary determinant of a square matrix, exact for exact domains."""
+    """Ordinary determinant of a square matrix, exact for exact domains.
+
+    Rationals run on integers: Bareiss over the column-cleared rows (see
+    _cleared_rows) and one division by prod(L) at the end. The clearing is
+    the oracle's own code, not the fast route's.
+    """
     if x.rows != x.cols:
         raise MatrixError(f"square determinant needs a square matrix, got {x.rows}x{x.cols}")
+    if x.domain.tag == "rational":
+        rows, scale = _cleared_rows(x)
+        return Fraction(_bareiss_det([list(r) for r in rows], x.domain.integers), scale)
     return _det_rows([list(r) for r in x.data], x.domain)
 
 
 def det_by_minors(x: Matrix):
     """The alternating sum over all maximal square blocks; accepts any shape
-    and transposes a wide input itself. Cost scales as C(n,k) * k^3."""
+    and transposes a wide input itself. Cost scales as C(n,k) * k^3.
+
+    Rationals run on integers: each column is cleared once (see
+    _cleared_rows), every block goes through Bareiss over the domain's
+    integers, and the sum is divided once by prod(L). The clearing is the
+    oracle's own code, not the fast route's. A counting rational domain
+    tallies that work through its integers view, with the counts of the
+    same elimination over Fraction.
+    """
     if x.rows < x.cols:
         x = transpose(x)
     n, k = x.rows, x.cols
-    dom = x.domain
+    dom, data, scale = x.domain, x.data, None
+    if dom.tag == "rational":
+        data, scale = _cleared_rows(x)
+        dom = dom.integers
     add, sub = dom.add, dom.sub
-    data = x.data
     acc = None
     for combo in combinations(range(n), k):
         block = [list(data[i]) for i in combo]
@@ -122,7 +157,7 @@ def det_by_minors(x: Matrix):
             acc = sub(acc, d)
     if (k * (k + 1) // 2) % 2:
         acc = dom.neg(acc)
-    return acc
+    return acc if scale is None else Fraction(acc, scale)
 
 
 def det_by_injections(x: Matrix):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrix import Matrix
 from .scalars import DOMAINS, ScalarError, _long_int, get_domain
@@ -43,8 +43,7 @@ class MatrixInputError(ValueError):
     """Malformed matrix file or inconsistent metadata."""
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
+class MatrixDocument(NamedTuple):
     """Parsed but not yet coerced matrix payload."""
     rows: int
     cols: int

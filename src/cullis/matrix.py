@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import Domain
+from .scalars import Domain, ScalarError
 
 
 class MatrixError(ValueError):
@@ -230,8 +230,8 @@ def kernel_sandwich(a: Matrix) -> Matrix:
     forms the integer product Y', and each entry becomes Y'_pq / (L_p L_q),
     one division per entry. The determinant route does not use this
     Fraction product for rationals: it takes the Pfaffian of Y' itself.
-    Float entries keep the domain's finite check, so an overflow inside
-    the product stops here.
+    Float entries keep the domain's finite check, one pass per row, so an
+    overflow inside the product stops here.
     """
     dom = a.domain
     if dom.tag == "rational":
@@ -243,7 +243,12 @@ def kernel_sandwich(a: Matrix) -> Matrix:
                 rows[p][q], rows[q][p] = v, -v
         return Matrix._trusted(dom, rows)
     rows = _skew_product(tuple(zip(*a.data)), dom)
-    return Matrix(dom, rows) if dom.approximate else Matrix._trusted(dom, rows)
+    if dom.approximate:
+        for row in rows:
+            if not all(map(math.isfinite, row)):
+                bad = next(v for v in row if not math.isfinite(v))
+                raise ScalarError(f"float domain holds finite values only, got {bad!r}")
+    return Matrix._trusted(dom, rows)
 
 
 def is_skew_symmetric(a: Matrix) -> bool:
@@ -252,17 +257,23 @@ def is_skew_symmetric(a: Matrix) -> bool:
     The diagonal is checked on its own rather than inferred from the mirror
     condition, so the approximate domain and any ring where 2a = 0 does not
     force a = 0 are handled the same way.
+
+    Each row is first compared in bulk with exact ==: its diagonal entry
+    against zero, the part right of the diagonal against the negated
+    column below it (Domain.negate, which a counting domain tallies).
+    Exact equality implies the domain's eq, so only a row that misses is
+    compared entry by entry with eq.
     """
     if a.rows != a.cols:
         return False
     dom = a.domain
-    eq, neg, z = dom.eq, dom.neg, dom.zero
+    eq, negate, z = dom.eq, dom.negate, dom.zero
     d = a.data
-    n = a.rows
-    for i in range(n):
-        if not eq(d[i][i], z):
+    cols = tuple(zip(*d))
+    for i in range(a.rows):
+        tail, mirror = d[i][i + 1:], negate(cols[i][i + 1:])
+        if d[i][i] == z and tail == mirror:
+            continue
+        if not (eq(d[i][i], z) and all(map(eq, tail, mirror))):
             return False
-        for j in range(i + 1, n):
-            if not eq(d[j][i], neg(d[i][j])):
-                return False
     return True

@@ -83,10 +83,11 @@ class Domain:
     one comprehension or map per row, which a counting instance tallies in
     one step per call with the same counts as the scalar operations they
     stand for: :meth:`dot` and :meth:`kernel_column` (the sandwich),
-    :meth:`congruence_step` and :meth:`condensation_step` (the two O(m^3)
-    Pfaffian engines), and :meth:`elimination_step` (Bareiss, for square
-    blocks and the minor-sum oracle). :meth:`parse_row` is the bulk form of
-    parse and, like it, is not counted.
+    :meth:`negate` (the skew check), :meth:`congruence_step` and
+    :meth:`condensation_step` (the two O(m^3) Pfaffian engines), and
+    :meth:`elimination_step` (Bareiss, for square blocks and the minor-sum
+    oracle). :meth:`parse_row` is the bulk form of parse and, like it, is
+    not counted.
     """
 
     name = "ring"
@@ -115,6 +116,10 @@ class Domain:
     def dot(self, u, v):
         """Sum of the products of two equal-length, non-empty vectors."""
         return sum(map(operator.mul, u, v))
+
+    def negate(self, values):
+        """The negations of `values`, as a tuple."""
+        return tuple(map(operator.neg, values))
 
     def kernel_column(self, col):
         """K times one column, for the skew kernel K of
@@ -287,7 +292,8 @@ class RationalDomain(Domain):
     """Exact rationals kept normalized (positive denominator, lowest terms).
 
     `integers` is the domain the numerators live in: the determinant route
-    clears each column's denominators and computes over it.
+    and the minor-sum oracle each clear every column's denominators and
+    compute over it.
     """
 
     name = "rational"
@@ -432,12 +438,13 @@ class _CountingMixin:
     float values, so the mixin performs them inline rather than delegating;
     only division semantics differ and those live in the concrete classes.
     The bulk operations tally what their scalar form would, then delegate:
-    elimination_step three multiplications (the division among them) and
-    one subtraction per entry it produces; kernel_column 3n - 4 additions
-    for a column of n > 1 entries; congruence_step two multiplications and
-    three additions (the mirrored negation among them) per updated entry
-    above the diagonal; condensation_step four multiplications (the
-    division among them) and three additions per such entry.
+    negate one addition per value; elimination_step three multiplications
+    (the division among them) and one subtraction per entry it produces;
+    kernel_column 3n - 4 additions for a column of n > 1 entries;
+    congruence_step two multiplications and three additions (the mirrored
+    negation among them) per updated entry above the diagonal;
+    condensation_step four multiplications (the division among them) and
+    three additions per such entry.
     """
 
     def __init__(self):
@@ -464,6 +471,10 @@ class _CountingMixin:
         self.mults += len(u)
         self.adds += len(u) - 1
         return sum(map(operator.mul, u, v))
+
+    def negate(self, values):
+        self.adds += len(values)
+        return super().negate(values)
 
     def elimination_step(self, pivot_row, rows, d):
         entries = len(rows) * (len(pivot_row) - 1)

@@ -536,6 +536,115 @@ class TestRationalRoute:
             assert mults > a.rows * a.cols * (a.cols - 1) // 2
 
 
+def _nine_digit_primes(count):
+    """The first `count` primes above 10^8, by trial division."""
+    out, p = [], 10**8 + 1
+    while len(out) < count:
+        if all(p % d for d in range(3, int(p**0.5) + 1, 2)):
+            out.append(p)
+        p += 2
+    return out
+
+
+def _nine_digit_denominators(rng, n, k):
+    """Rationals whose denominators are n*k distinct 9-digit primes."""
+    primes = iter(rng.sample(_nine_digit_primes(n * k), n * k))
+    return Matrix(RATIONAL, [[Fraction(rng.randint(-99, 99), next(primes))
+                              for _ in range(k)] for _ in range(n)])
+
+
+def _mixed_columns(rng, n, k):
+    """Rationals with every other column integer-valued, so some L_j = 1."""
+    x = random_matrix(rng, n, k, RATIONAL)
+    return Matrix(RATIONAL, [[v if j % 2 else Fraction(rng.randint(-9, 9))
+                              for j, v in enumerate(row)] for row in x.data])
+
+
+# (label, n, k) -> rational input for the minor-sum oracle's column clearing
+CLEARED_ORACLE_INPUTS = {
+    ("tall", 8, 5): lambda rng, n, k: random_matrix(rng, n, k, RATIONAL),
+    ("square", 5, 5): lambda rng, n, k: random_matrix(rng, n, k, RATIONAL),
+    ("wide", 3, 6): lambda rng, n, k: random_matrix(rng, n, k, RATIONAL),
+    ("one-by-one", 1, 1): lambda rng, n, k: random_matrix(rng, n, k, RATIONAL),
+    ("column", 6, 1): lambda rng, n, k: random_matrix(rng, n, k, RATIONAL),
+    ("integer-valued", 7, 4): lambda rng, n, k: Matrix(
+        RATIONAL, random_matrix(rng, n, k, INTEGER).data),
+    ("some-integer-columns", 7, 4): _mixed_columns,
+    ("zero-column", 6, 4): _zero_column,
+    ("nine-digit-primes", 6, 3): _nine_digit_denominators,
+}
+
+# (label, n, k) -> (mults, adds) of count_operations(x, "minors"), recorded
+# from Bareiss over Fraction before the oracle moved to cleared integers
+MINOR_COUNTS = {
+    ("tall", 8, 5): (5040, 1737),
+    ("square", 5, 5): (90, 32),
+    ("wide", 3, 6): (300, 119),
+    ("one-by-one", 1, 1): (0, 2),
+    ("column", 6, 1): (0, 7),
+    ("integer-valued", 7, 4): (1470, 524),
+    ("some-integer-columns", 7, 4): (1470, 528),
+    ("zero-column", 6, 4): (630, 229),
+    ("nine-digit-primes", 6, 3): (300, 119),
+}
+
+# value of count_operations(x, "minors") on the same inputs, where short
+MINOR_VALUES = {
+    ("tall", 8, 5): Fraction(-2131951495559, 203212800),
+    ("square", 5, 5): Fraction(-53327, 39690),
+    ("wide", 3, 6): Fraction(-36447769, 7144200),
+    ("one-by-one", 1, 1): Fraction(9, 4),
+    ("column", 6, 1): Fraction(-221, 63),
+    ("integer-valued", 7, 4): Fraction(12430),
+    ("some-integer-columns", 7, 4): Fraction(-206275, 5292),
+    ("zero-column", 6, 4): Fraction(0),
+}
+
+
+def _cleared_oracle_input(label, n, k):
+    return CLEARED_ORACLE_INPUTS[label, n, k](Random(n * 100 + k), n, k)
+
+
+class TestClearedOracle:
+    """The minor-sum oracle on rationals: Bareiss over column-cleared
+    integers and one division, checked against engines that stay on
+    Fraction."""
+
+    @pytest.mark.parametrize("label,n,k", sorted(CLEARED_ORACLE_INPUTS))
+    def test_matches_the_fraction_engines(self, label, n, k):
+        x = _cleared_oracle_input(label, n, k)
+        w = x if n >= k else transpose(x)
+        value = det_by_minors(x)
+        assert type(value) is Fraction
+        assert value == det_by_injections(w) == det_by_column_laplace(w)
+        assert value == det_by_pfaffian(x, engine="eliminate")
+        # square_det on the leading square block, against its injection sum
+        m = min(n, k)
+        block = Matrix(RATIONAL, [row[:m] for row in w.data[:m]])
+        assert square_det(block) == det_by_injections(block)
+        assert type(square_det(block)) is Fraction
+        if n == k:
+            assert square_det(x) == value
+
+    @pytest.mark.parametrize("label,n,k", sorted(MINOR_COUNTS))
+    def test_counts_as_over_fractions(self, label, n, k):
+        x = _cleared_oracle_input(label, n, k)
+        value, mults, adds = count_operations(x, "minors")
+        assert (mults, adds) == MINOR_COUNTS[label, n, k]
+        assert value == MINOR_VALUES.get((label, n, k), det_by_injections(
+            x if n >= k else transpose(x)))
+
+    def test_square_det_counts_as_over_fractions(self):
+        xi = random_matrix(Random(3), 6, 6, INTEGER)
+        dom = RATIONAL.counting()
+        value = square_det(Matrix(dom, xi.data))
+        counter = INTEGER.counting()
+        assert square_det(Matrix(counter, xi.data)) == value
+        assert type(value) is Fraction
+        assert (value, dom.mults, dom.adds) == (-220183, 165, 55)
+        assert (counter.mults, counter.adds) == (165, 55)
+
+
 def _int_zero_leading_pivot(n, k):
     """Tall integers, k even, whose product Y = A^T K A has Y_12 = 0:
     column 2 is made orthogonal to K times column 1, so both Pfaffian

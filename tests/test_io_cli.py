@@ -382,6 +382,22 @@ class TestComputeCommand:
         assert code == 0 and "VERIFY: MATCH" in out
 
 
+    def test_rational_verify_through_the_cleared_oracle(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text("1/2,2/3\n3/4,-5/7\n1,1/9\n-2/5,3\n")
+        code, out, err = run_cli(["compute", "--input", str(p), "--scalar", "rational",
+                                  "--verify"])
+        assert (code, out, err) == (0, "2141/630\nVERIFY: MATCH\n", "")
+
+
+def test_compute_import_path_leaves_out_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cullis.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestSelftestCommand:
     def test_passes_in_process(self, capsys):
         code = cli.main(["selftest", "--seed", "5", "--size-cap", "4"])

@@ -94,6 +94,13 @@ class TestConstruction:
         assert x.data == ((Fraction(1, 2), 3), (-4, Fraction(5, 6)))
         assert all(type(v) is Fraction for row in x.data for v in row)
 
+    def test_float_sandwich_rejects_non_finite_products(self):
+        for rows, bad in (([[1e200, 1e200], [1e200, -1e200]], "-inf"),
+                          ([[1e200, 1e200], [-1e200, 1e200], [1e200, -1e200], [2.0, 1.0]], "inf")):
+            with pytest.raises(ScalarError) as info:
+                kernel_sandwich(Matrix(FLOAT, rows))
+            assert str(info.value) == f"float domain holds finite values only, got {bad}"
+
     def test_entry_range_errors(self):
         x = mat([[1, 2], [3, 4]])
         for i, j in ((0, 1), (1, 0), (3, 1), (1, 3)):
@@ -221,6 +228,27 @@ class TestIsSkewSymmetric:
     def test_float_tolerant_mirror(self):
         a = Matrix(FLOAT, [[0.0, 1.0], [-1.0 - 1e-13, 0.0]])
         assert is_skew_symmetric(a)
+
+    def test_float_tolerant_diagonal_in_a_later_row(self):
+        a = Matrix(FLOAT, [[0.0, 1.0, 2.0], [-1.0, 1e-13, 3.0], [-2.0, -3.0, 0.0]])
+        assert is_skew_symmetric(a)
+        b = Matrix(FLOAT, [[0.0, 1.0, 2.0], [-1.0, 1e-3, 3.0], [-2.0, -3.0, 0.0]])
+        assert not is_skew_symmetric(b)
+
+    def test_rejects_bad_mirror_after_good_rows(self):
+        good = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
+        assert is_skew_symmetric(mat(good))
+        for i, j in ((2, 3), (3, 2), (1, 3), (2, 0)):
+            bad = [list(r) for r in good]
+            bad[i][j] += 1
+            assert not is_skew_symmetric(mat(bad))
+            assert not is_skew_symmetric(Matrix(RATIONAL, bad))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_counts_one_negation_per_upper_entry(self, n):
+        dom = INTEGER.counting()
+        assert is_skew_symmetric(Matrix(dom, skew_kernel_matrix(n, INTEGER).data))
+        assert (dom.mults, dom.adds) == (0, n * (n - 1) // 2)
 
 
 _entries = st.integers(min_value=-50, max_value=50)

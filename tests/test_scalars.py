@@ -249,6 +249,14 @@ class TestCounting:
         assert c.mults == 3 and c.adds == 2
         assert type(c.dot(u, v)) is type(dom.zero)
 
+    @pytest.mark.parametrize("dom", [INTEGER, RATIONAL, FLOAT])
+    def test_negate_counts_like_the_scalar_loop(self, dom):
+        values = tuple(dom.coerce(v) for v in (1, -2, 0))
+        c = dom.counting()
+        assert c.negate(values) == dom.negate(values) == tuple(map(dom.neg, values))
+        assert c.mults == 0 and c.adds == 3
+        assert c.negate(()) == () and c.adds == 3
+
     @pytest.mark.parametrize("dom", [INTEGER, RATIONAL])
     def test_elimination_step_counts_like_the_scalar_loop(self, dom):
         pivot_row = [dom.coerce(v) for v in (2, 4, 6)]

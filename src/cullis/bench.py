@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import comb, perm
+from math import comb
 from random import Random
 from statistics import median
 from typing import NamedTuple
@@ -31,21 +31,6 @@ def minors_cost(n: int, k: int) -> int:
     """Block count times cubic work per block."""
     hi, lo = (n, k) if n >= k else (k, n)
     return comb(hi, lo) * lo**3
-
-
-def enumeration_cost(n: int, k: int) -> int:
-    """Injection count times the per-term product length."""
-    hi, lo = (n, k) if n >= k else (k, n)
-    return perm(hi, lo) * lo
-
-
-def method_cost(method: str, n: int, k: int) -> int:
-    if method == "minors":
-        return minors_cost(n, k)
-    if method in ("injections", "laplace"):
-        return enumeration_cost(n, k)
-    hi, lo = (n, k) if n >= k else (k, n)
-    return hi * lo * lo + lo**3
 
 
 def random_matrix(rng: Random, n: int, k: int, domain: Domain) -> Matrix:
@@ -105,7 +90,7 @@ def run_sizes(sizes, domain: Domain, rng: Random, repeats: int = 3,
     for n, k in sizes:
         x = random_matrix(rng, n, k, domain)
         for method in BENCH_METHODS:
-            if method != "fast" and method_cost(method, n, k) > BENCH_CAP:
+            if method == "minors" and minors_cost(n, k) > BENCH_CAP:
                 continue
             row = run_method(x, method, repeats)
             out.append(row)

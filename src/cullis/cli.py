@@ -17,7 +17,6 @@ import sys
 from random import Random
 
 from . import bench as bench_mod
-from . import selftest as selftest_mod
 from .determinant import METHODS, det, det_by_minors
 from .matio import MatrixInputError, load_matrix_file
 from .scalars import DOMAINS
@@ -71,6 +70,8 @@ def _compute(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.size_cap < 1:
         return _fail(f"--size-cap must be >= 1, got {args.size_cap}")
+    from . import selftest as selftest_mod  # off the compute path's start-up
+
     ok = selftest_mod.run(seed=args.seed, size_cap=args.size_cap)
     return EXIT_OK if ok else EXIT_SELFTEST
 

@@ -183,22 +183,6 @@ def skew_kernel_matrix(n: int, domain: Domain) -> Matrix:
     return Matrix(domain, rows)
 
 
-def _skew_product(cols: Sequence, domain: Domain) -> list:
-    """Rows of the k x k skew product of k columns against K: entry (p,q)
-    for p < q is column p dotted with K times column q, entry (q,p) its
-    negation, and the diagonal zero."""
-    dot, neg, z = domain.dot, domain.neg, domain.zero
-    k = len(cols)
-    rows = [[z] * k for _ in range(k)]
-    for q in range(1, k):
-        kq = domain.kernel_column(cols[q])
-        for p in range(q):
-            v = dot(cols[p], kq)
-            rows[p][q] = v
-            rows[q][p] = neg(v)
-    return rows
-
-
 def cleared_kernel_sandwich(a: Matrix) -> tuple:
     """(Y', L) for a rational matrix a: L_j is the lcm of the denominators
     in column j, and Y' = A'^T K A' over a.domain.integers for the integer
@@ -213,18 +197,20 @@ def cleared_kernel_sandwich(a: Matrix) -> tuple:
     cleared = [[v.numerator * (s // v.denominator) for v in col]
                for col, s in zip(cols, scales)]
     ints = a.domain.integers
-    return Matrix._trusted(ints, _skew_product(cleared, ints)), scales
+    return Matrix._trusted(ints, ints.skew_product(cleared)), scales
 
 
 def kernel_sandwich(a: Matrix) -> Matrix:
     """A^T K A for the skew kernel K of size a.rows, without forming K.
 
     Equal entry for entry to multiply(multiply(transpose(a), K), a) on exact
-    domains. Only the strict upper triangle is computed, one dot product of
-    a column against K times a later column per entry; the lower triangle
-    is its exact negation and the diagonal is zero, so the result is skew
-    by construction in every domain. Cost for an n x k input: n k(k-1)/2
-    multiplications and O(n k^2) additions.
+    domains. Only the strict upper triangle is computed (Domain.skew_product),
+    in floats one dot product of a column against K times a later column
+    per entry; the lower triangle is its exact negation and the diagonal is
+    zero, so the result is skew by construction in every domain. Integers
+    with enough columns form the same entries by Kronecker packing
+    (IntegerDomain.skew_product). Counted cost for an n x k input:
+    n k(k-1)/2 multiplications and O(n k^2) additions.
 
     Rational input runs on integer numerators: cleared_kernel_sandwich
     forms the integer product Y', and each entry becomes Y'_pq / (L_p L_q),
@@ -242,7 +228,7 @@ def kernel_sandwich(a: Matrix) -> Matrix:
                 v = Fraction(y.data[p][q], scales[p] * scales[q])
                 rows[p][q], rows[q][p] = v, -v
         return Matrix._trusted(dom, rows)
-    rows = _skew_product(tuple(zip(*a.data)), dom)
+    rows = dom.skew_product(tuple(zip(*a.data)))
     if dom.approximate:
         for row in rows:
             if not all(map(math.isfinite, row)):

@@ -114,22 +114,32 @@ def pfaffian_laplace(a, pivot_col: int = 1) -> object:
 
 
 def _swap_pair(rows: list, a: int, b: int) -> None:
-    rows[a], rows[b] = rows[b], rows[a]
-    for r in rows:
+    """Swap indices a < b of a skew matrix kept in its strict upper
+    triangle, in O(m): the tails right of b and the columns above a trade
+    places, entry (a,b) changes sign, and for a < t < b entries (a,t) and
+    (t,b) trade places, each changing sign."""
+    ra, rb = rows[a], rows[b]
+    ra[b + 1:], rb[b + 1:] = rb[b + 1:], ra[b + 1:]
+    for r in rows[:a]:
         r[a], r[b] = r[b], r[a]
+    for t in range(a + 1, b):
+        rt = rows[t]
+        ra[t], rt[b] = -rt[b], -ra[t]
+    ra[b] = -ra[b]
 
 
 def pfaffian_eliminate(a) -> object:
     """O(m^3) field elimination.
 
-    Works two indices at a time: pick a pivot in the current first column
+    Works two indices at a time: pick a pivot in the current first row
     (largest magnitude for the approximate domain, first nonzero for exact
     fields), swap it into place (each swap of two indices flips the sign),
     then cancel the rest of the leading two rows and columns with the
     congruence update B[i][j] += f[i]*u[j] - u[i]*f[j], which leaves the
     trailing block skew and multiplies the running product by the pivot
     entry; the domain's congruence_step applies that update one row at a
-    time. A fully zero column means the value is zero.
+    time. A fully zero row means the value is zero. The working copy is
+    read and written in its strict upper triangle only.
     """
     mat = _as_even_skew(a)
     dom = mat.domain
@@ -141,23 +151,24 @@ def pfaffian_eliminate(a) -> object:
     negate = False
     result = None
     for base in range(0, n, 2):
-        pivot_row = None
+        lead = rows[base]
+        pivot = None
         if dom.approximate:
             best = 0.0
             for r in range(base + 1, n):
-                mag = abs(rows[r][base])
+                mag = abs(lead[r])
                 if mag > best:
                     best = mag
-                    pivot_row = r
+                    pivot = r
         else:
             for r in range(base + 1, n):
-                if not dom.is_zero(rows[r][base]):
-                    pivot_row = r
+                if not dom.is_zero(lead[r]):
+                    pivot = r
                     break
-        if pivot_row is None:
+        if pivot is None:
             return dom.zero
-        if pivot_row != base + 1:
-            _swap_pair(rows, base + 1, pivot_row)
+        if pivot != base + 1:
+            _swap_pair(rows, base + 1, pivot)
             negate = not negate
         p = rows[base][base + 1]
         result = p if result is None else mul(result, p)
@@ -179,9 +190,10 @@ def pfaffian_fraction_free(a) -> object:
     entry is again a Pfaffian of a principal submatrix of the input drawn
     on the processed indices plus {i,j}, which is why the division is exact
     and why the single entry left at the end is the full Pfaffian. The
-    domain's condensation_step updates the block one row at a time. A zero
-    pivot is repaired by swapping a nonzero mate into position, flipping
-    the sign; a fully zero leading row means the value is zero.
+    domain's condensation_step updates the block one row at a time, in the
+    strict upper triangle only. A zero pivot is repaired by swapping a
+    nonzero mate into position, flipping the sign; a fully zero leading row
+    means the value is zero.
     """
     mat = _as_even_skew(a)
     dom = mat.domain

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 from enum import IntEnum
 from fractions import Fraction
 
@@ -65,12 +66,19 @@ def _long_int(text: str) -> int:
     return -value if text[0] == "-" else value
 
 
-def _store_skew_row(rows, i, values):
-    """Write `values` into row i right of the diagonal and their negations
-    into column i below it."""
-    rows[i][i + 1:] = values
-    for rj, v in zip(rows[i + 1:], values):
-        rj[i] = -v
+# The packed sandwich (IntegerDomain.skew_product) beats one dot per entry
+# from this many columns on, at slot widths up to this many bits; README
+# holds the measured table. Slots of 8 to 64 bits unpack as struct formats.
+_PACK_MIN_COLS = 10
+_PACK_MAX_SLOT = 192
+_SLOT_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per slot that hold every integer in [-bound, bound] in two's
+    complement: a struct width when one is enough, else whole bytes."""
+    bits = bound.bit_length() + 1
+    return next((s for s in _SLOT_FORMATS if bits <= s), -(-bits // 8) * 8)
 
 
 class Domain:
@@ -82,12 +90,13 @@ class Domain:
     Besides the scalar operations, the hot loops run as bulk operations,
     one comprehension or map per row, which a counting instance tallies in
     one step per call with the same counts as the scalar operations they
-    stand for: :meth:`dot` and :meth:`kernel_column` (the sandwich),
-    :meth:`negate` (the skew check), :meth:`congruence_step` and
-    :meth:`condensation_step` (the two O(m^3) Pfaffian engines), and
-    :meth:`elimination_step` (Bareiss, for square blocks and the minor-sum
-    oracle). :meth:`parse_row` is the bulk form of parse and, like it, is
-    not counted.
+    stand for: :meth:`skew_product` (the sandwich, one :meth:`dot` per
+    entry against :meth:`kernel_column`), :meth:`negate` (the skew check),
+    :meth:`congruence_step` and :meth:`condensation_step` (the two O(m^3)
+    Pfaffian engines, which keep their working matrix in its strict upper
+    triangle), and :meth:`elimination_step` (Bareiss, for square blocks and
+    the minor-sum oracle). :meth:`parse_row` is the bulk form of parse and,
+    like it, is not counted.
     """
 
     name = "ring"
@@ -143,29 +152,48 @@ class Domain:
             out.append(c)
         return out
 
+    def skew_product(self, cols):
+        """Rows of the k x k skew product A^T K A of the k columns of A
+        against the skew kernel K: entry (p,q) for p < q is column p dotted
+        with K times column q (kernel_column), entry (q,p) its negation,
+        and the diagonal zero. For columns of n entries that is
+        n k(k-1)/2 multiplications, one dot per entry."""
+        dot, z = self.dot, self.zero
+        k = len(cols)
+        rows = [[z] * k for _ in range(k)]
+        for q in range(1, k):
+            kq = self.kernel_column(cols[q])
+            for p in range(q):
+                v = dot(cols[p], kq)
+                rows[p][q] = v
+                rows[q][p] = -v
+        return rows
+
     def congruence_step(self, rows, u, f):
         """The field elimination's update of the trailing block, in place.
 
-        `rows` is the working skew matrix as lists, `u` the leading row of
+        `rows` is the working skew matrix as lists, of which only the
+        strict upper triangle is read or written; `u` is the leading row of
         the pair just eliminated and `f` the quotients v[j] / p over the
         block's indices, which start at off = len(rows) - len(f). Every
-        B[i][j] with off <= i < j becomes B[i][j] + (f[i]*u[j] - u[i]*f[j])
-        and B[j][i] its negation, so the block stays skew.
+        B[i][j] with off <= i < j becomes B[i][j] + (f[i]*u[j] - u[i]*f[j]),
+        which keeps the block skew.
         """
         off = len(rows) - len(f)
         for t in range(len(f) - 1):
             i = off + t
             fi, ui = f[t], u[i]
-            _store_skew_row(rows, i, [x + (fi * uj - ui * fj)
-                                      for x, uj, fj in zip(rows[i][i + 1:], u[i + 1:], f[t + 1:])])
+            rows[i][i + 1:] = [x + (fi * uj - ui * fj)
+                               for x, uj, fj in zip(rows[i][i + 1:], u[i + 1:], f[t + 1:])]
 
     def condensation_step(self, rows, base, d):
         """One step of the fraction-free Pfaffian condensation, in place.
 
         With leading rows c0 = rows[base], c1 = rows[base+1] and pivot
         p = c0[base+1], every B[i][j] with base+2 <= i < j becomes
-        ((p*B[i][j] - c0[i]*c1[j]) + c0[j]*c1[i]) / d, every quotient exact,
-        and B[j][i] its negation. Needs exact division.
+        ((p*B[i][j] - c0[i]*c1[j]) + c0[j]*c1[i]) / d, every quotient exact.
+        Like congruence_step, it reads and writes the strict upper triangle
+        only. Needs exact division.
         """
         raise CapabilityError(f"{self.name} scalars have no fraction-free condensation")
 
@@ -183,8 +211,9 @@ class Domain:
 
         With p = pivot_row[0], each row r becomes
         [(p*x - r[0]*y) / d for x, y in zip(r[1:], pivot_row[1:])], one column
-        shorter, every quotient exact. Exact domains only; the float
-        oracle eliminates with partial pivoting instead.
+        shorter, every quotient exact. Integers only: rationals run it on
+        their column-cleared integers, and the float oracle eliminates with
+        partial pivoting instead.
         """
         raise CapabilityError(f"{self.name} scalars have no fraction-free elimination")
 
@@ -268,7 +297,56 @@ class IntegerDomain(Domain):
                 t = next(t for t, r in enumerate(remainders) if r)
                 raise ExactDivisionError(
                     f"{quotients[t] * d + remainders[t]} is not divisible by {d}")
-            _store_skew_row(rows, i, quotients)
+            rows[i][i + 1:] = quotients
+
+    def skew_product(self, cols):
+        """The skew product by Kronecker substitution: equal entry for entry
+        to Domain.skew_product, with C-level big-int work in place of one
+        dot per entry.
+
+        Row i of A packs into one integer, sum_q a_iq 2^(s q) for a slot
+        width of s bits, and K applies to the packed rows as to any column
+        of integers, which packs the rows of C = K A. Row p of the product
+        is then sum_i a_ip C_i = sum_q Y_pq 2^(s q), one multiply-add per
+        row of A, and its slots are the entries. |c_iq| <= ||a_q||_1, so
+        |Y_pq| <= ||a_p||_1 ||a_q||_1 bounds every slot, and s holds that
+        bound in two's complement. Adding 2^(s-1) to every slot and xoring
+        it back gives each slot in two's complement; the bytes unpack with
+        one struct call per row when s <= 64 and one int.from_bytes per
+        slot otherwise.
+
+        Few columns or wide slots run the dot products instead: below
+        _PACK_MIN_COLS the per-row packing and unpacking cost more than the
+        dots save, and past _PACK_MAX_SLOT the packed multiplies carry more
+        limbs than the dots do.
+        """
+        k = len(cols)
+        if k < _PACK_MIN_COLS:
+            return super().skew_product(cols)
+        norms = [sum(map(abs, col)) for col in cols]
+        s = _slot_width(max(norms[:-1]) * max(norms[1:]))
+        if s > _PACK_MAX_SLOT:
+            return super().skew_product(cols)
+        w = s // 8
+        shifts = range(0, s * k, s)
+        packed = self.kernel_column([sum(map(operator.lshift, row, shifts))
+                                     for row in zip(*cols)])
+        offset = int.from_bytes((bytes(w - 1) + b"\x80") * k, "little")
+        fmt = _SLOT_FORMATS.get(s)
+        rows = []
+        for p in range(k - 1):
+            total = sum(map(operator.mul, cols[p], packed))
+            raw = ((total + offset) ^ offset).to_bytes(w * k, "little")
+            if fmt:
+                upper = struct.unpack_from(f"<{k - 1 - p}{fmt}", raw, w * (p + 1))
+            else:
+                upper = [int.from_bytes(raw[j:j + w], "little", signed=True)
+                         for j in range(w * (p + 1), w * k, w)]
+            rows.append([0] * (p + 1) + list(upper))
+        rows.append([0] * k)
+        for q, col in enumerate(list(zip(*rows))):
+            rows[q][:q] = map(operator.neg, col[:q])
+        return rows
 
     def parse(self, text: str):
         if not _INT_RE.fullmatch(text):
@@ -319,16 +397,6 @@ class RationalDomain(Domain):
             raise ExactDivisionError("division by zero")
         return a / b
 
-    def elimination_step(self, pivot_row, rows, d):
-        if d == 0:
-            raise ExactDivisionError("division by zero")
-        p, tail = pivot_row[0], pivot_row[1:]
-        out = []
-        for r in rows:
-            b = r[0]
-            out.append([(p * x - b * y) / d for x, y in zip(r[1:], tail)])
-        return out
-
     def condensation_step(self, rows, base, d):
         if d == 0:
             raise ExactDivisionError("division by zero")
@@ -336,8 +404,8 @@ class RationalDomain(Domain):
         p = c0[base + 1]
         for i in range(base + 2, len(rows) - 1):
             c0i, c1i = c0[i], c1[i]
-            _store_skew_row(rows, i, [((p * x - c0i * b1j) + b0j * c1i) / d
-                                      for x, b0j, b1j in zip(rows[i][i + 1:], c0[i + 1:], c1[i + 1:])])
+            rows[i][i + 1:] = [((p * x - c0i * b1j) + b0j * c1i) / d
+                               for x, b0j, b1j in zip(rows[i][i + 1:], c0[i + 1:], c1[i + 1:])]
 
     def invert(self, a):
         if a == 0:
@@ -440,11 +508,19 @@ class _CountingMixin:
     The bulk operations tally what their scalar form would, then delegate:
     negate one addition per value; elimination_step three multiplications
     (the division among them) and one subtraction per entry it produces;
-    kernel_column 3n - 4 additions for a column of n > 1 entries;
-    congruence_step two multiplications and three additions (the mirrored
-    negation among them) per updated entry above the diagonal;
+    skew_product, for k columns of n entries, 3n - 4 additions per K times
+    a column (k - 1 of them, none when n = 1) and, per entry above the
+    diagonal, the n multiplications and n - 1 additions of its dot plus
+    one negation for the entry below; congruence_step two multiplications
+    and three additions per updated entry above the diagonal;
     condensation_step four multiplications (the division among them) and
-    three additions per such entry.
+    three additions per such entry. In both Pfaffian steps the third
+    addition is the nominal negation of the mirrored entry below the
+    diagonal, which the upper-triangular engines no longer write.
+
+    skew_product delegates to the shared, uncounted instance of its
+    domain, so the tallies stand for the dot loop whichever form (packed or
+    dot) runs.
     """
 
     def __init__(self):
@@ -482,10 +558,12 @@ class _CountingMixin:
         self.adds += entries
         return super().elimination_step(pivot_row, rows, d)
 
-    def kernel_column(self, col):
-        if len(col) > 1:
-            self.adds += 3 * len(col) - 4
-        return super().kernel_column(col)
+    def skew_product(self, cols):
+        n, k = len(cols[0]), len(cols)
+        entries = k * (k - 1) // 2
+        self.mults += n * entries
+        self.adds += (k - 1) * (3 * n - 4 if n > 1 else 0) + n * entries
+        return DOMAINS[self.tag].skew_product(cols)
 
     def congruence_step(self, rows, u, f):
         entries = len(f) * (len(f) - 1) // 2

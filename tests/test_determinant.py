@@ -31,7 +31,15 @@ from cullis.matrix import (
     transpose,
 )
 from cullis.pfaffian import SkewMatrix, pfaffian
-from cullis.scalars import DOMAINS, FLOAT, INTEGER, RATIONAL, CapabilityError
+from cullis.scalars import (
+    _PACK_MAX_SLOT,
+    DOMAINS,
+    FLOAT,
+    INTEGER,
+    RATIONAL,
+    CapabilityError,
+    _slot_width,
+)
 
 ALL_ENGINES = (det_by_minors, det_by_injections, det_by_column_laplace,
                det_by_pfaffian)
@@ -382,8 +390,12 @@ def dense_sandwich(a):
     return multiply(multiply(transpose(a), kern), a)
 
 
-# even k; odd k, even n; odd k, odd n; wide; and the smallest shapes
-SANDWICH_SHAPES = ((9, 4), (8, 5), (7, 3), (3, 6), (4, 7), (1, 1), (2, 1), (12, 12))
+# even k; odd k, even n; odd k, odd n; wide; and the smallest shapes, on
+# both sides of the integers' packing threshold (10 columns after padding):
+# (10, 8) stays below it, (11, 10), (10, 9), (9, 9) and the wide (9, 11)
+# reach it in each padding case
+SANDWICH_SHAPES = ((9, 4), (8, 5), (7, 3), (3, 6), (4, 7), (1, 1), (2, 1), (12, 12),
+                   (10, 8), (11, 10), (10, 9), (9, 9), (9, 11))
 
 # primes above every numerator drawn below, so each denominator stays prime
 _PRIMES = [p for p in range(101, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
@@ -448,6 +460,43 @@ class TestStructuredSandwich:
     def test_single_row_gives_zero_product(self):
         a = imat([[1, 2, 3]])
         assert kernel_sandwich(a).data == dense_sandwich(a).data == ((0,) * 3,) * 3
+
+    @pytest.mark.parametrize("s", [8, 16, 32, 64, 72])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_boundary(self, s, sign):
+        """Entry (1,k) is +-2^(s-1), exactly the slot bound ||a_1|| ||a_k||
+        (1-norms): it takes the next slot width. Entry (2,k) is
+        2^(s-1) - 1, the widest value that fits s bits, against a bound
+        that does too."""
+        k = 12
+        hi, lo = 2 ** ((s - 1) // 2), 2 ** (s - 1 - (s - 1) // 2)
+        rows = [[0] * k for _ in range(3)]
+        rows[0][0], rows[1][k - 1] = sign * hi, lo
+        assert _slot_width(hi * lo) == {8: 16, 16: 32, 32: 64, 64: 72, 72: 80}[s]
+        a = imat(rows)
+        y = kernel_sandwich(a)
+        assert y.data == dense_sandwich(a).data
+        assert y.data[0][k - 1] == sign * 2 ** (s - 1)
+        rows = [[0] * k for _ in range(3)]
+        rows[0][1], rows[1][k - 1] = sign * (2 ** (s - 1) - 1), 1
+        assert _slot_width(2 ** (s - 1) - 1) == s
+        a = imat(rows)
+        assert kernel_sandwich(a).data == dense_sandwich(a).data
+
+    @pytest.mark.parametrize("digits", [12, 20, 40])
+    def test_wide_slots(self, digits):
+        """Entries of 12 and 20 digits pack into byte slots past 64 bits;
+        40 digits need slots wider than the packing limit, and the dot
+        products run instead. The three agree with the dense kernel."""
+        rng = Random(digits)
+        x = Matrix(INTEGER, [[rng.randint(-10**digits, 10**digits) for _ in range(11)]
+                             for _ in range(14)])
+        a = padded(x)
+        norms = [sum(abs(v) for v in col) for col in zip(*a.data)]
+        s = _slot_width(max(norms[:-1]) * max(norms[1:]))
+        assert (s > 64, s > _PACK_MAX_SLOT) == (True, digits == 40)
+        assert kernel_sandwich(a).data == dense_sandwich(a).data
+        assert det_by_pfaffian(x) == det_by_minors(x)
 
     @pytest.mark.parametrize("domain", [INTEGER, RATIONAL, FLOAT])
     @pytest.mark.parametrize("n,k", SANDWICH_SHAPES + ((64, 32),))

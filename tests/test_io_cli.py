@@ -398,6 +398,14 @@ def test_compute_import_path_leaves_out_dataclasses():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_compute_import_path_leaves_out_selftest():
+    # selftest loads only when its subcommand runs
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cullis.cli; print('cullis.selftest' in sys.modules)"],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 class TestSelftestCommand:
     def test_passes_in_process(self, capsys):
         code = cli.main(["selftest", "--seed", "5", "--size-cap", "4"])

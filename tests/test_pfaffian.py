@@ -1,4 +1,5 @@
 """Pfaffian engines: agreement, identities, and error contracts."""
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -29,6 +30,9 @@ from cullis.scalars import (
 )
 from cullis.signs import pair_sign_matrix
 from cullis.determinant import square_det
+
+# the module itself: the package's name `pfaffian` is the function
+pfaffian_mod = importlib.import_module("cullis.pfaffian")
 
 EXACT_ENGINES = ("definition", "laplace", "fraction-free")
 
@@ -146,6 +150,58 @@ class TestEngineAgreement:
     def test_bare_matrix_accepted(self):
         m = Matrix(INTEGER, [[0, 5], [-5, 0]])
         assert pfaffian(m) == 5
+
+    @pytest.mark.parametrize("engine,tag", [("fraction-free", "int"), ("eliminate", "float")])
+    def test_swap_heavy_inputs(self, engine, tag, monkeypatch):
+        """Block-diagonal 4x4 blocks whose leading pair is (0,2),(1,3), so
+        every block starts on a zero pivot, and sparse fills with further
+        zeros; the float engine also swaps for partial pivoting."""
+        swaps = []
+        original = pfaffian_mod._swap_pair
+        monkeypatch.setattr(pfaffian_mod, "_swap_pair",
+                            lambda rows, a, b: swaps.append((a, b)) or original(rows, a, b))
+        rng = Random(12)
+        dom = DOMAINS[tag]
+        for size in (8, 10, 12):
+            for trial in range(6):
+                upper = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(size - 1 - i)]
+                         for i in range(size - 1)]
+                if trial % 2 == 0:  # block diagonal, zero leading pivot in every block
+                    for i, tail in enumerate(upper):
+                        for t in range(len(tail)):
+                            j = i + 1 + t
+                            if i // 4 != j // 4 or (i % 2 == 0 and j == i + 1):
+                                tail[t] = 0
+                s = skew_from_upper(upper)
+                exact = pfaffian_definition(s)
+                assert pfaffian_laplace(s) == exact
+                before = len(swaps)
+                value = ENGINES[engine](skew_from_upper(upper, dom))
+                assert dom.eq(value, dom.coerce(exact))
+                if trial % 2 == 0 and exact:
+                    assert len(swaps) - before >= size // 4
+        assert any(b > a + 1 for a, b in swaps)  # entries between a and b moved too
+        if tag == "float":
+            for size in (8, 12):
+                f = skew_from_upper([[rng.uniform(-1, 1) for _ in range(size - 1 - i)]
+                                     for i in range(size - 1)], FLOAT)
+                before = len(swaps)
+                value = pfaffian_eliminate(f)
+                assert len(swaps) - before >= size // 4
+                assert FLOAT.eq(value, float(pfaffian_laplace(to_rational(f))))
+
+    @pytest.mark.parametrize("a,b", [(0, 1), (0, 5), (1, 2), (2, 6), (3, 7), (6, 7)])
+    def test_swap_pair_on_the_upper_triangle(self, a, b):
+        """_swap_pair on upper-triangle storage equals swapping rows and
+        columns of the full matrix, and never reads below the diagonal."""
+        s = random_skew(Random(a * 8 + b), 8)
+        full = s.matrix.to_rows()
+        full[a], full[b] = full[b], full[a]
+        for r in full:
+            r[a], r[b] = r[b], r[a]
+        rows = [[None] * (i + 1) + list(r[i + 1:]) for i, r in enumerate(s.matrix.data)]
+        pfaffian_mod._swap_pair(rows, a, b)
+        assert [r[i + 1:] for i, r in enumerate(rows)] == [r[i + 1:] for i, r in enumerate(full)]
 
 
 class TestAlgebraicIdentities:

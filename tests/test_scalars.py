@@ -257,7 +257,7 @@ class TestCounting:
         assert c.mults == 0 and c.adds == 3
         assert c.negate(()) == () and c.adds == 3
 
-    @pytest.mark.parametrize("dom", [INTEGER, RATIONAL])
+    @pytest.mark.parametrize("dom", [INTEGER])
     def test_elimination_step_counts_like_the_scalar_loop(self, dom):
         pivot_row = [dom.coerce(v) for v in (2, 4, 6)]
         rows = [[dom.coerce(v) for v in r] for r in ((1, 3, 5), (3, 8, 9))]

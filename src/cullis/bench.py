@@ -50,8 +50,8 @@ def random_matrix(rng: Random, n: int, k: int, domain: Domain) -> Matrix:
 
 def count_operations(x: Matrix, method: str):
     """Re-run `method` on a counting copy of the domain; returns
-    (value, mults, adds). Multiplications, exact divisions and inversions
-    all land in mults; adds covers additions, subtractions and negations."""
+    (value, mults, adds). Multiplications and exact divisions land in
+    mults; adds covers additions, subtractions and negations."""
     dom = x.domain.counting()
     y = Matrix(dom, [list(r) for r in x.data])
     value = det(y, method=method)

@@ -34,7 +34,8 @@ class CapabilityError(ScalarError):
 
 class Tier(IntEnum):
     """Capability ladder: every domain is a commutative ring; integral
-    domains add exact division by known divisors; fields add inversion."""
+    domains add exact division by known divisors; in fields exact_div
+    divides by any nonzero value."""
 
     RING = 1
     INTEGRAL_DOMAIN = 2
@@ -90,7 +91,7 @@ class Domain:
     Besides the scalar operations, the hot loops run as bulk operations,
     one comprehension or map per row, which a counting instance tallies in
     one step per call with the same counts as the scalar operations they
-    stand for: :meth:`skew_product` (the sandwich, one :meth:`dot` per
+    stand for: :meth:`skew_product` (the sandwich, one dot product per
     entry against :meth:`kernel_column`), :meth:`negate` (the skew check),
     :meth:`congruence_step` and :meth:`condensation_step` (the two O(m^3)
     Pfaffian engines, which keep their working matrix in its strict upper
@@ -121,10 +122,6 @@ class Domain:
 
     def mul(self, a, b):
         return a * b
-
-    def dot(self, u, v):
-        """Sum of the products of two equal-length, non-empty vectors."""
-        return sum(map(operator.mul, u, v))
 
     def negate(self, values):
         """The negations of `values`, as a tuple."""
@@ -158,13 +155,13 @@ class Domain:
         with K times column q (kernel_column), entry (q,p) its negation,
         and the diagonal zero. For columns of n entries that is
         n k(k-1)/2 multiplications, one dot per entry."""
-        dot, z = self.dot, self.zero
+        z = self.zero
         k = len(cols)
         rows = [[z] * k for _ in range(k)]
         for q in range(1, k):
             kq = self.kernel_column(cols[q])
             for p in range(q):
-                v = dot(cols[p], kq)
+                v = sum(map(operator.mul, cols[p], kq))
                 rows[p][q] = v
                 rows[q][p] = -v
         return rows
@@ -217,9 +214,6 @@ class Domain:
         """
         raise CapabilityError(f"{self.name} scalars have no fraction-free elimination")
 
-    def invert(self, a):
-        raise CapabilityError(f"{self.name} scalars have no multiplicative inverses")
-
     def parse(self, text: str):
         raise NotImplementedError
 
@@ -236,8 +230,8 @@ class Domain:
         """Fresh instance of the same domain that counts operations.
 
         Counters live on the returned instance only, so every measured
-        invocation gets its own tallies: `mults` covers multiplication,
-        exact division, and inversion; `adds` covers addition, subtraction,
+        invocation gets its own tallies: `mults` covers multiplication
+        and exact division; `adds` covers addition, subtraction,
         and negation. Equality tests and parsing are not arithmetic and are
         never counted.
         """
@@ -407,11 +401,6 @@ class RationalDomain(Domain):
             rows[i][i + 1:] = [((p * x - c0i * b1j) + b0j * c1i) / d
                                for x, b0j, b1j in zip(rows[i][i + 1:], c0[i + 1:], c1[i + 1:])]
 
-    def invert(self, a):
-        if a == 0:
-            raise ExactDivisionError("zero has no inverse")
-        return 1 / a
-
     def parse(self, text: str):
         m = _FRACTION_RE.fullmatch(text)
         try:
@@ -472,11 +461,6 @@ class FloatDomain(Domain):
             raise ExactDivisionError("division by zero")
         return a / b
 
-    def invert(self, a):
-        if a == 0.0:
-            raise ExactDivisionError("zero has no inverse")
-        return 1.0 / a
-
     # the same quotients as the rationals' step, with float division
     condensation_step = RationalDomain.condensation_step
 
@@ -502,10 +486,11 @@ class FloatDomain(Domain):
 class _CountingMixin:
     """Tallies arithmetic on the instance; see Domain.counting.
 
-    The add/sub/neg/mul/dot operators act identically on int, Fraction, and
+    The add/sub/neg/mul operators act identically on int, Fraction, and
     float values, so the mixin performs them inline rather than delegating;
-    only division semantics differ and those live in the concrete classes.
-    The bulk operations tally what their scalar form would, then delegate:
+    exact_div counts one multiplication and delegates, since division
+    semantics differ per domain. The bulk operations tally what their
+    scalar form would, then delegate:
     negate one addition per value; elimination_step three multiplications
     (the division among them) and one subtraction per entry it produces;
     skew_product, for k columns of n entries, 3n - 4 additions per K times
@@ -543,10 +528,9 @@ class _CountingMixin:
         self.mults += 1
         return a * b
 
-    def dot(self, u, v):
-        self.mults += len(u)
-        self.adds += len(u) - 1
-        return sum(map(operator.mul, u, v))
+    def exact_div(self, a, b):
+        self.mults += 1
+        return super().exact_div(a, b)
 
     def negate(self, values):
         self.adds += len(values)
@@ -583,14 +567,7 @@ class _CountingMixin:
 
 
 class CountingIntegerDomain(_CountingMixin, IntegerDomain):
-    def exact_div(self, a, b):
-        self.mults += 1
-        if b == 0:
-            raise ExactDivisionError("division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise ExactDivisionError(f"{a} is not divisible by {b}")
-        return q
+    pass
 
 
 class CountingRationalDomain(_CountingMixin, RationalDomain):
@@ -602,31 +579,9 @@ class CountingRationalDomain(_CountingMixin, RationalDomain):
         view.__dict__ = self.__dict__
         return view
 
-    def exact_div(self, a, b):
-        self.mults += 1
-        if b == 0:
-            raise ExactDivisionError("division by zero")
-        return a / b
-
-    def invert(self, a):
-        self.mults += 1
-        if a == 0:
-            raise ExactDivisionError("zero has no inverse")
-        return 1 / a
-
 
 class CountingFloatDomain(_CountingMixin, FloatDomain):
-    def exact_div(self, a, b):
-        self.mults += 1
-        if b == 0.0:
-            raise ExactDivisionError("division by zero")
-        return a / b
-
-    def invert(self, a):
-        self.mults += 1
-        if a == 0.0:
-            raise ExactDivisionError("zero has no inverse")
-        return 1.0 / a
+    pass
 
 
 INTEGER = IntegerDomain()

@@ -1,9 +1,10 @@
 """Built-in diagnostic battery behind the `selftest` subcommand.
 
-Each check exercises one advertised identity end to end on seeded random
-instances and prints one PASS or FAIL line. The battery is a quick field
+One check per route or identity family. Each runs the public entry points
+on seeded random instances, compares them against an independent
+reference, and prints one PASS or FAIL line. The battery is a quick field
 diagnostic for an installed copy, not a replacement for the test suite;
-everything here finishes in seconds.
+it finishes in well under a second.
 """
 from __future__ import annotations
 
@@ -14,33 +15,17 @@ from zlib import crc32
 from .bench import random_matrix
 from .determinant import (
     det,
-    det_by_column_laplace,
-    det_by_injections,
     det_by_minors,
-    det_by_pfaffian,
     ones_column_identity_holds,
     square_det,
     zero_row_identity_holds,
 )
-from .matrix import (
-    Matrix,
-    append_ones_column,
-    is_skew_symmetric,
-    multiply,
-    skew_kernel_matrix,
-    submatrix_select,
-    transpose,
-)
+from .matio import parse_matrix_text
+from .matrix import (Matrix, append_ones_column, append_ones_column_and_unit_row,
+                     append_zero_row, multiply, skew_kernel_matrix, transpose)
 from .pfaffian import SkewMatrix, pfaffian
 from .scalars import FLOAT, INTEGER, RATIONAL
-from .signs import (
-    enumerate_matchings,
-    injection_sign,
-    matching_sum_sign,
-    pair_sign_matrix,
-    permutation_matrix,
-    tuple_sign,
-)
+from .signs import enumerate_matchings, tuple_sign
 
 CHECKS = []
 
@@ -71,319 +56,130 @@ def _cycle_parity_sign(values):
     return sign
 
 
-def _random_skew(rng, size, domain=INTEGER):
-    rows = [[domain.zero] * size for _ in range(size)]
+def _random_skew(rng, size):
+    rows = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
-            v = domain.coerce(rng.randint(-6, 6))
-            rows[i][j] = v
-            rows[j][i] = domain.neg(v)
-    return SkewMatrix(Matrix(domain, rows))
+            rows[i][j] = rng.randint(-6, 6)
+            rows[j][i] = -rows[i][j]
+    return SkewMatrix(Matrix(INTEGER, rows))
 
 
-def _to_rational(x: Matrix) -> Matrix:
-    return Matrix(RATIONAL, [[Fraction(v) for v in row] for row in x.data])
+def _set_column(x, j, f):
+    """x with entry j of every row r replaced by f(r)."""
+    return Matrix(x.domain, [[f(r) if i == j else v for i, v in enumerate(r)] for r in x.data])
 
 
-@_check("integer literals round trip through parse and format")
-def _chk_int_roundtrip(rng, cap):
-    for _ in range(50):
-        v = rng.randint(-10**9, 10**9)
-        if INTEGER.format(INTEGER.parse(str(v))) != str(v):
+_DRAWS = (
+    (INTEGER, lambda rng: rng.randint(-10**30, 10**30)),
+    (RATIONAL, lambda rng: Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))),
+    (FLOAT, lambda rng: rng.uniform(-1e6, 1e6)),
+)
+
+
+@_check("literals round trip through parse and format in every domain")
+def _chk_literals(rng, cap):
+    for dom, draw in _DRAWS:
+        values = [draw(rng) for _ in range(12)]
+        text = "\n".join(",".join(map(dom.format, values[i:i + 3])) for i in range(0, 12, 3))
+        back = [v for row in parse_matrix_text(text, dom.tag).data for v in row]
+        if not all(map(dom.eq, values, back)):
             return False
     return True
 
 
-@_check("rational arithmetic stays exact and normalized")
-def _chk_rational_exact(rng, cap):
-    third = RATIONAL.parse("1/3")
-    sixth = RATIONAL.parse("1/6")
-    if RATIONAL.add(third, sixth) != Fraction(1, 2):
-        return False
-    if RATIONAL.parse("-4/6") != Fraction(-2, 3):
-        return False
-    return RATIONAL.format(RATIONAL.mul(Fraction(2, 3), Fraction(9, 4))) == "3/2"
-
-
-@_check("tuple sign matches the cycle-decomposition parity oracle")
-def _chk_tuple_sign_oracle(rng, cap):
+@_check("tuple and matching signs match the cycle-parity oracle")
+def _chk_signs(rng, cap):
     for _ in range(60):
-        n = rng.randint(1, 8)
-        values = rng.sample(range(1, 30), n)
-        if tuple_sign(tuple(values)) != _cycle_parity_sign(values):
+        values = [rng.randint(1, 12) for _ in range(rng.randint(1, 8))]
+        want = _cycle_parity_sign(values) if len(set(values)) == len(values) else 0
+        if tuple_sign(values) != want:
             return False
-    return True
-
-
-@_check("tuple sign vanishes exactly on repeated entries")
-def _chk_tuple_sign_repeat(rng, cap):
-    for _ in range(40):
-        n = rng.randint(2, 8)
-        values = [rng.randint(1, 5) for _ in range(n)]
-        s = tuple_sign(tuple(values))
-        if len(set(values)) < n:
-            if s != 0:
-                return False
-        elif s not in (-1, 1):
-            return False
-    return True
-
-
-@_check("injection sign reduces to the tuple sign on full images")
-def _chk_injection_full(rng, cap):
-    for _ in range(30):
-        n = rng.randint(1, 7)
-        perm = rng.sample(range(1, n + 1), n)
-        if injection_sign(tuple(perm), n) != tuple_sign(tuple(perm)):
-            return False
-    return True
-
-
-@_check("permutation matrix determinant equals the permutation sign")
-def _chk_perm_matrix_det(rng, cap):
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        perm = tuple(rng.sample(range(1, n + 1), n))
-        d = square_det(permutation_matrix(perm, INTEGER))
-        if d != tuple_sign(perm):
-            return False
-    return True
-
-
-@_check("matching enumeration count is the double factorial")
-def _chk_matching_count(rng, cap):
-    expected = 1
-    for m in range(1, 6):
-        expected *= 2 * m - 1
-        if sum(1 for _ in enumerate_matchings(m)) != expected:
-            return False
-    return True
-
-
-@_check("matching signs match the parity of the flattened pairing")
-def _chk_matching_signs(rng, cap):
     for m in range(1, 6):
         for matching in enumerate_matchings(m):
-            flat = [v for pair in matching.pairs for v in pair]
-            if matching.sign != _cycle_parity_sign(flat):
+            if matching.sign != _cycle_parity_sign([v for pair in matching.pairs for v in pair]):
                 return False
     return True
 
 
-@_check("pair-sign matrix pfaffian equals the tuple sign")
-def _chk_pair_sign_pfaffian(rng, cap):
-    for _ in range(25):
-        m = rng.randint(1, 3)
-        values = tuple(rng.randint(1, 6) for _ in range(2 * m))
-        want = tuple_sign(values)
-        a = SkewMatrix(pair_sign_matrix(values, INTEGER))
-        if pfaffian(a, engine="definition") != want:
-            return False
-        if matching_sum_sign(values) != want:
-            return False
-    return True
-
-
-@_check("pfaffian engines agree on random skew matrices")
-def _chk_pfaffian_engines(rng, cap):
+@_check("pfaffian engines agree and the pfaffian squares to the determinant")
+def _chk_pfaffian(rng, cap):
     for size in (2, 4, 6, 8):
         for _ in range(4):
             a = _random_skew(rng, size)
             ref = pfaffian(a, engine="definition")
-            if pfaffian(a, engine="laplace") != ref:
-                return False
-            if pfaffian(a, engine="fraction-free") != ref:
-                return False
-            q = SkewMatrix(_to_rational(a.matrix))
-            if pfaffian(q, engine="eliminate") != Fraction(ref):
+            q = SkewMatrix(Matrix(RATIONAL, [[Fraction(v) for v in r] for r in a.matrix.data]))
+            if (pfaffian(a, engine="laplace") != ref or pfaffian(a, engine="fraction-free") != ref
+                    or pfaffian(q, engine="eliminate") != ref or ref * ref != square_det(a.matrix)):
                 return False
     return True
 
 
-@_check("pfaffian squared equals the determinant of the skew matrix")
-def _chk_pfaffian_squared(rng, cap):
-    for size in (2, 4, 6, 8):
-        for _ in range(4):
-            a = _random_skew(rng, size)
-            p = pfaffian(a)
-            if p * p != square_det(a.matrix):
-                return False
-    return True
-
-
-@_check("sandwich transform scales the pfaffian by the determinant")
-def _chk_congruence(rng, cap):
-    for size in (2, 4, 6):
-        for _ in range(4):
-            a = _random_skew(rng, size)
-            b = random_matrix(rng, size, size, INTEGER)
-            y = multiply(multiply(b, a.matrix), transpose(b))
-            if pfaffian(SkewMatrix(y)) != square_det(b) * pfaffian(a):
-                return False
-    return True
-
-
-@_check("ascending pair-sign matrix has unit pfaffian")
-def _chk_ascending_unit(rng, cap):
-    for size in (2, 4, 6, 8, 10):
-        values = tuple(sorted(rng.sample(range(1, 40), size)))
-        if pfaffian(SkewMatrix(pair_sign_matrix(values, INTEGER))) != 1:
-            return False
-    return True
-
-
-@_check("kernel sandwich of any matrix is skew symmetric")
-def _chk_kernel_sandwich_skew(rng, cap):
-    for n, k in ((5, 2), (6, 3), (4, 4), (7, 1)):
-        x = random_matrix(rng, n, k, INTEGER)
-        y = multiply(multiply(transpose(x), skew_kernel_matrix(n, INTEGER)), x)
-        if not is_skew_symmetric(y):
-            return False
-    return True
-
-
-@_check("all four determinant engines agree on random matrices")
-def _chk_engines_agree(rng, cap):
+@_check("integer route equals the minor sum, tall, square and wide")
+def _chk_int_route(rng, cap):
+    # every shape up to the cap, clamped to 2..7: tall, square and wide,
+    # in all three padding cases
     cap = max(2, min(cap, 7))
     for n in range(1, cap + 1):
-        for k in range(1, n + 1):
-            for _ in range(2):
-                x = random_matrix(rng, n, k, INTEGER)
-                ref = det_by_minors(x)
-                if det_by_injections(x) != ref:
-                    return False
-                if det_by_column_laplace(x) != ref:
-                    return False
-                if det_by_pfaffian(x) != ref:
-                    return False
-    return True
-
-
-@_check("square case reduces to the ordinary determinant")
-def _chk_square_case(rng, cap):
-    for n in range(1, min(cap, 7) + 1):
-        for _ in range(3):
-            x = random_matrix(rng, n, n, INTEGER)
-            if det(x) != square_det(x):
+        for k in range(1, cap + 1):
+            x = random_matrix(rng, n, k, INTEGER)
+            if det(x) != det_by_minors(x):
                 return False
-    return True
+    # 13x11 pads to 14x12, whose product the packed sandwich forms
+    x = random_matrix(rng, 13, 11, INTEGER)
+    a = append_ones_column_and_unit_row(x)
+    y = multiply(multiply(transpose(a), skew_kernel_matrix(14, INTEGER)), a)
+    return det(x) == pfaffian(SkewMatrix(y)) == det_by_minors(x)
 
 
-@_check("wide inputs go through the transpose unchanged")
-def _chk_wide_transpose(rng, cap):
-    for n, k in ((2, 5), (3, 6), (1, 4)):
-        x = random_matrix(rng, n, k, INTEGER)
-        if det_by_pfaffian(x) != det_by_minors(x):
-            return False
-        if det(x, method="injections") != det(transpose(x), method="injections"):
-            return False
-    return True
-
-
-@_check("column expansion is independent of the expansion column")
-def _chk_laplace_column_free(rng, cap):
-    for n, k in ((4, 2), (5, 3), (6, 4)):
-        x = random_matrix(rng, n, k, INTEGER)
-        ref = det_by_column_laplace(x, 1)
-        for col in range(2, k + 1):
-            if det_by_column_laplace(x, col) != ref:
-                return False
-    return True
-
-
-@_check("duplicate columns force a zero value")
-def _chk_duplicate_columns(rng, cap):
-    for n, k in ((4, 2), (5, 3), (6, 4)):
-        x = random_matrix(rng, n, k, INTEGER)
-        j, l = rng.sample(range(k), 2)
-        rows = [list(r) for r in x.data]
-        for r in rows:
-            r[l] = r[j]
-        y = Matrix(INTEGER, rows)
-        if det(y) != 0 or det_by_minors(y) != 0:
+@_check("rational route equals the minor sum")
+def _chk_rational_route(rng, cap):
+    for n, k in ((6, 4), (6, 3), (5, 3), (4, 4), (3, 5)):
+        x = random_matrix(rng, n, k, RATIONAL)
+        if det(x) != det_by_minors(x):
             return False
     return True
 
 
-@_check("swapping two columns flips the sign")
-def _chk_column_swap(rng, cap):
-    for n, k in ((4, 2), (5, 3), (6, 4)):
+@_check("float route tracks the exact value")
+def _chk_float_route(rng, cap):
+    for n, k in ((5, 2), (6, 3), (7, 4), (4, 6)):
         x = random_matrix(rng, n, k, INTEGER)
-        j, l = sorted(rng.sample(range(1, k + 1), 2))
-        cols = list(range(1, k + 1))
-        cols[j - 1], cols[l - 1] = cols[l - 1], cols[j - 1]
-        y = submatrix_select(x, tuple(range(1, n + 1)), tuple(cols))
-        if det(y) != -det(x):
-            return False
-    return True
-
-
-@_check("adding one column into another leaves the value unchanged")
-def _chk_column_shear(rng, cap):
-    for n, k in ((4, 2), (5, 3), (6, 4)):
-        x = random_matrix(rng, n, k, INTEGER)
-        j, l = rng.sample(range(k), 2)
-        rows = [list(r) for r in x.data]
-        for r in rows:
-            r[j] = r[j] + r[l]
-        if det(Matrix(INTEGER, rows)) != det(x):
-            return False
-    return True
-
-
-@_check("scaling a column scales the value by the same factor")
-def _chk_column_scale(rng, cap):
-    for n, k in ((4, 2), (5, 3), (6, 4)):
-        x = random_matrix(rng, n, k, INTEGER)
-        j = rng.randrange(k)
-        c = rng.choice((-3, -2, 2, 3, 5))
-        rows = [list(r) for r in x.data]
-        for r in rows:
-            r[j] = c * r[j]
-        if det(Matrix(INTEGER, rows)) != c * det(x):
-            return False
-    return True
-
-
-@_check("ones column extension preserves the value at odd total parity")
-def _chk_ones_column_odd(rng, cap):
-    for n, k in ((4, 1), (5, 2), (6, 3)):
-        x = random_matrix(rng, n, k, INTEGER)
-        if not ones_column_identity_holds(x):
-            return False
-        if det_by_minors(append_ones_column(x)) != det_by_minors(x):
-            return False
-    return True
-
-
-@_check("ones column extension kills the value at even total parity")
-def _chk_ones_column_even(rng, cap):
-    for n, k in ((4, 2), (5, 1), (6, 4)):
-        x = random_matrix(rng, n, k, INTEGER)
-        if not ones_column_identity_holds(x):
-            return False
-        if det_by_minors(append_ones_column(x)) != 0:
-            return False
-    return True
-
-
-@_check("appending a zero row preserves the value")
-def _chk_zero_row(rng, cap):
-    for n, k in ((3, 2), (4, 4), (5, 3)):
-        x = random_matrix(rng, n, k, INTEGER)
-        if not zero_row_identity_holds(x):
-            return False
-    return True
-
-
-@_check("float route tracks the exact value on integer fills")
-def _chk_float_tracks_exact(rng, cap):
-    for n, k in ((5, 2), (6, 3), (7, 4)):
-        x = random_matrix(rng, n, k, INTEGER)
-        exact = det_by_minors(x)
         f = Matrix(FLOAT, [[float(v) for v in row] for row in x.data])
-        approx = det_by_pfaffian(f)
-        if not FLOAT.eq(approx, float(exact)):
+        if not FLOAT.eq(det(f), float(det_by_minors(x))):
+            return False
+    return True
+
+
+@_check("the value is alternating and multilinear in the columns")
+def _chk_columns(rng, cap):
+    for n, k in ((4, 2), (5, 3), (6, 4), (4, 4)):
+        x = random_matrix(rng, n, k, INTEGER)
+        d = det(x)
+        j, l = rng.sample(range(k), 2)
+        c = rng.choice((-3, -2, 2, 3, 5))
+        order = list(range(k))
+        order[j], order[l] = l, j
+        swapped = Matrix(INTEGER, [[r[i] for i in order] for r in x.data])
+        edits = (
+            (_set_column(x, j, lambda r: r[l]), 0),
+            (swapped, -d),
+            (_set_column(x, j, lambda r: r[j] + r[l]), d),
+            (_set_column(x, j, lambda r: c * r[j]), c * d),
+        )
+        if any(det(y) != want for y, want in edits):
+            return False
+    return True
+
+
+@_check("a ones column and a zero row pad the value as the identities say")
+def _chk_padding(rng, cap):
+    for n, k in ((4, 1), (5, 2), (6, 3), (4, 2), (5, 1), (6, 4)):
+        x = random_matrix(rng, n, k, INTEGER)
+        d = det_by_minors(x)
+        if not (ones_column_identity_holds(x) and zero_row_identity_holds(x)):
+            return False
+        if det(append_ones_column(x)) != (d if (n + k) % 2 else 0) or det(append_zero_row(x)) != d:
             return False
     return True
 

@@ -414,6 +414,13 @@ class TestSelftestCommand:
         lines = [l for l in out.splitlines() if l]
         assert lines and all(l.startswith("PASS ") for l in lines)
 
+    @pytest.mark.parametrize("cap", [1, 7])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_passes_across_seeds(self, capsys, seed, cap):
+        code = cli.main(["selftest", "--seed", str(seed), "--size-cap", str(cap)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines and all(l.startswith("PASS ") for l in lines)
+
     def test_size_cap_below_one_rejected(self, capsys):
         code = cli.main(["selftest", "--size-cap", "-3"])
         captured = capsys.readouterr()
@@ -428,6 +435,50 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL deliberately broken check" in out
+
+    def test_crashing_check_fails_and_the_rest_still_run(self, capsys, monkeypatch):
+        from cullis import selftest as selftest_mod
+
+        def crash(rng, cap):
+            raise ZeroDivisionError("boom")
+
+        checks = [("crashing check", crash), ("later check", lambda rng, cap: True)]
+        monkeypatch.setattr(selftest_mod, "CHECKS", checks)
+        code = cli.main(["selftest"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "FAIL crashing check (ZeroDivisionError: boom)\nPASS later check\n")
+
+    @staticmethod
+    def _fails(capsys):
+        code = cli.main(["selftest"])
+        lines = capsys.readouterr().out.splitlines()
+        return code == 1 and any(l.startswith("FAIL ") for l in lines)
+
+    def test_catches_a_packed_slot_off_by_one(self, capsys, monkeypatch):
+        from cullis import scalars
+        packed = scalars.IntegerDomain.skew_product
+
+        def off_by_one(self, cols):
+            rows = packed(self, cols)
+            if len(cols) >= scalars._PACK_MIN_COLS:
+                rows[0][-1] += 1
+                rows[-1][0] -= 1
+            return rows
+
+        monkeypatch.setattr(scalars.IntegerDomain, "skew_product", off_by_one)
+        assert self._fails(capsys)
+
+    def test_catches_a_doubled_rational_scale(self, capsys, monkeypatch):
+        from cullis import determinant
+        cleared = determinant.cleared_kernel_sandwich
+
+        def doubled(a):
+            y, scales = cleared(a)
+            return y, [2 * scales[0], *scales[1:]]
+
+        monkeypatch.setattr(determinant, "cleared_kernel_sandwich", doubled)
+        assert self._fails(capsys)
 
 
 class TestBenchCommand:

@@ -267,7 +267,7 @@ def det_by_column_laplace(x: Matrix, col: int = 1):
     return acc
 
 
-def det_by_pfaffian(x: Matrix, engine: str = "auto"):
+def det_by_pfaffian(x: Matrix):
     """Cubic-time evaluation through one Pfaffian.
 
     A wide matrix is transposed first. When the column count is odd the
@@ -279,12 +279,12 @@ def det_by_pfaffian(x: Matrix, engine: str = "auto"):
     computes only the upper triangle, O(n k^2) for an n x k input, and the
     Pfaffian adds O(k^3).
 
-    Rational input, under engine "auto" or "fraction-free", runs on
-    integers end to end: the column-cleared product Y' (see
-    cleared_kernel_sandwich) goes through the fraction-free Pfaffian, and
-    the value is pf(Y') / prod(L) as a Fraction, one division in all.
-    Under "eliminate" (and the reference engines) rationals take the
-    Fraction product A^T K A instead.
+    The Pfaffian engine follows the domain of the product: integers take
+    the fraction-free condensation, floats the pivoted elimination.
+    Rational input runs on integers end to end: the column-cleared product
+    Y' (see cleared_kernel_sandwich) goes through the fraction-free
+    Pfaffian, and the value is pf(Y') / prod(L) as a Fraction, one
+    division in all.
     """
     if x.rows < x.cols:
         x = transpose(x)
@@ -295,17 +295,17 @@ def det_by_pfaffian(x: Matrix, engine: str = "auto"):
         a = append_ones_column(x)
     else:
         a = append_ones_column_and_unit_row(x)
-    if a.domain.tag == "rational" and engine in ("auto", "fraction-free"):
+    if a.domain.tag == "rational":
         y, scales = cleared_kernel_sandwich(a)
-        return Fraction(pfaffian(SkewMatrix(y), engine="fraction-free"), math.prod(scales))
-    return pfaffian(SkewMatrix(kernel_sandwich(a)), engine=engine)
+        return Fraction(pfaffian(SkewMatrix(y)), math.prod(scales))
+    return pfaffian(SkewMatrix(kernel_sandwich(a)))
 
 
-def det(x: Matrix, method: str = "auto", engine: str = "auto"):
-    """Front door: evaluate by the named method ("auto" means the Pfaffian
-    route), transposing wide inputs for the engines that need it."""
+def det(x: Matrix, method: str = "auto"):
+    """Front door: evaluate by the named method ("auto" and "fast" run
+    det_by_pfaffian), transposing wide inputs for the engines that need it."""
     if method in ("auto", "fast"):
-        return det_by_pfaffian(x, engine=engine)
+        return det_by_pfaffian(x)
     if method == "minors":
         return det_by_minors(x)
     w = x if x.rows >= x.cols else transpose(x)

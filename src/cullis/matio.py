@@ -81,7 +81,7 @@ def _document_from_json(text: str) -> MatrixDocument:
     if not isinstance(cols, int) or isinstance(cols, bool) or cols < 1:
         raise MatrixInputError("'cols' must be a positive integer")
     domain = obj.get("domain", "int")
-    if domain not in DOMAINS:
+    if not isinstance(domain, str) or domain not in DOMAINS:
         raise MatrixInputError(f"unknown domain {domain!r}; expected one of {sorted(DOMAINS)}")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows:

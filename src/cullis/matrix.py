@@ -5,7 +5,6 @@ are 1-based, matching the usual written convention for minors and signs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalars import Domain, ScalarError
@@ -205,29 +204,19 @@ def kernel_sandwich(a: Matrix) -> Matrix:
 
     Equal entry for entry to multiply(multiply(transpose(a), K), a) on exact
     domains. Only the strict upper triangle is computed (Domain.skew_product),
-    in floats one dot product of a column against K times a later column
-    per entry; the lower triangle is its exact negation and the diagonal is
-    zero, so the result is skew by construction in every domain. Integers
-    with enough columns form the same entries by Kronecker packing
+    one dot product of a column against K times a later column per entry;
+    the lower triangle is its exact negation and the diagonal is zero, so
+    the result is skew by construction in every domain. Integers with
+    enough columns form the same entries by Kronecker packing
     (IntegerDomain.skew_product). Counted cost for an n x k input:
     n k(k-1)/2 multiplications and O(n k^2) additions.
 
-    Rational input runs on integer numerators: cleared_kernel_sandwich
-    forms the integer product Y', and each entry becomes Y'_pq / (L_p L_q),
-    one division per entry. The determinant route does not use this
-    Fraction product for rationals: it takes the Pfaffian of Y' itself.
-    Float entries keep the domain's finite check, one pass per row, so an
-    overflow inside the product stops here.
+    Rationals run the dot loop over Fraction here; the determinant route
+    takes them through cleared_kernel_sandwich instead. Float entries keep
+    the domain's finite check, one pass per row, so an overflow inside the
+    product stops here.
     """
     dom = a.domain
-    if dom.tag == "rational":
-        y, scales = cleared_kernel_sandwich(a)
-        rows = [[dom.zero] * len(scales) for _ in scales]
-        for q in range(1, len(scales)):
-            for p in range(q):
-                v = Fraction(y.data[p][q], scales[p] * scales[q])
-                rows[p][q], rows[q][p] = v, -v
-        return Matrix._trusted(dom, rows)
     rows = dom.skew_product(tuple(zip(*a.data)))
     if dom.approximate:
         for row in rows:

@@ -477,6 +477,8 @@ class FloatDomain(Domain):
         return values if all(map(math.isfinite, values)) else None
 
     def format(self, value) -> str:
+        if not math.isfinite(value):
+            raise ScalarError(f"float domain holds finite values only, got {value!r}")
         return f"{value:.12g}"
 
     def counting(self):

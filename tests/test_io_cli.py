@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from cullis import cli
+from cullis.determinant import METHODS
 from cullis.matio import MatrixInputError, load_matrix_file, parse_matrix_text
 from cullis.scalars import FLOAT
 
@@ -110,6 +111,7 @@ class TestJsonParsing:
         (lambda d: d.update(rows=True), "positive integer"),
         (lambda d: d.update(cols="2"), "positive integer"),
         (lambda d: d.update(domain="decimal"), "unknown domain"),
+        pytest.param(lambda d: d.update(domain=["int"]), "unknown domain", id="non-string-domain"),
         (lambda d: d.update(data=[["1"], ["2"]]), "list of"),
         (lambda d: d.update(data=[["1", "2"]]), "list of"),
         (lambda d: d.update(extra=1), "unknown JSON keys"),
@@ -355,6 +357,21 @@ class TestComputeCommand:
         assert code == 4 and out == ""
         assert err.startswith("internal error: ScalarError: ") and err.count("\n") == 1
         assert "nan" in err
+
+    @pytest.mark.parametrize("flags", [["--method", m] for m in METHODS] + [["--verify"]],
+                             ids=" ".join)
+    def test_float_result_out_of_range_exits_four(self, tmp_path, capsys, flags):
+        # entries near 1e100: the 4x4 products pass 1e308, so the value is
+        # -inf on the pfaffian route and nan in the oracles
+        rng = Random(3)
+        rows = [[rng.uniform(-1, 1) * 1e100 for _ in range(4)] for _ in range(6)]
+        p = tmp_path / "huge.csv"
+        p.write_text("".join(",".join(map(repr, r)) + "\n" for r in rows))
+        code = cli.main(["compute", "--input", str(p), "--scalar", "float", *flags])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("internal error: ScalarError: ")
+        assert captured.err.count("\n") == 1
 
     def test_result_past_the_int_str_digit_limit_exits_four(self, tmp_path):
         # the 1x1 value is the entry itself, which `format` cannot print yet
